@@ -8,6 +8,7 @@
 #define BIORANK_CORE_CANONICAL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -84,19 +85,68 @@ struct CanonicalCandidate {
   CandidateProvenance provenance;
 };
 
+/// Canonicalizes answers of one query graph. Construction is the per-call
+/// prologue, run once however many answers follow: it validates the query
+/// graph and computes Reach(source) over the graph's flat snapshot.
+/// Canonicalize(slot, target) is then the per-answer kernel: a backward
+/// BFS from `target` confined to that reach set (epoch-stamped marks, so
+/// nothing is cleared per answer) yields the evidence footprint in
+/// ascending original-id order with each node's out-edges in CSR order;
+/// the Section 3.1 rules run on it as a FlatReductionGraph with only the
+/// source and `target` protected; labeling reads the survivors directly.
+/// Only the final canonical QueryGraph is materialized.
+///
+/// Scratch arrays belong to the canonicalizer, one set per `slot` in
+/// [0, slot_count), created on a slot's first use. A slot must not be
+/// used by two threads at once — ThreadPool::ParallelFor's slot argument
+/// satisfies this within one call — and scratch never outlives the
+/// canonicalizer, so independent callers (even two running inline on
+/// slot 0 of one pool) never share it.
+class CandidateCanonicalizer {
+ public:
+  /// Fails with InvalidArgument exactly when `query_graph` does not
+  /// validate. `graph_csr`, when given, must be an unmasked flat snapshot
+  /// of `query_graph.graph` (core/csr_snapshot.h) and must outlive the
+  /// canonicalizer; null builds one here. `query_graph` must outlive the
+  /// canonicalizer too.
+  static Result<CandidateCanonicalizer> Create(
+      const QueryGraph& query_graph, const CanonicalizeOptions& options,
+      const CsrSnapshot* graph_csr, int slot_count);
+
+  CandidateCanonicalizer(CandidateCanonicalizer&&) noexcept;
+  CandidateCanonicalizer& operator=(CandidateCanonicalizer&&) noexcept;
+  ~CandidateCanonicalizer();
+
+  /// InvalidArgument unless `target` is one of the query graph's answers.
+  Status CheckTarget(NodeId target) const;
+
+  /// The canonical candidate of answer `target` (which must pass
+  /// CheckTarget), computed on `slot`'s scratch.
+  Result<CanonicalCandidate> Canonicalize(int slot, NodeId target);
+
+ private:
+  struct SlotScratch;
+
+  CandidateCanonicalizer();
+
+  const QueryGraph* query_graph_ = nullptr;
+  CanonicalizeOptions options_;
+  std::unique_ptr<CsrSnapshot> owned_csr_;
+  const CsrSnapshot* csr_ = nullptr;
+  uint32_t source_ = 0;          ///< Dense id of the query node.
+  std::vector<uint8_t> reach_;   ///< Reach(source), by dense id.
+  std::vector<uint8_t> answer_;  ///< Answer flags, by dense id.
+  std::vector<std::unique_ptr<SlotScratch>> slots_;
+};
+
 /// Restricts `query_graph` to the evidence subgraph of one answer node
 /// (nodes on some source -> target path), applies the Section 3.1
 /// reductions with only the source and `target` protected, and computes
 /// the canonical form. Fails on invalid query graphs or if `target` is
-/// not one of the answers.
-///
-/// `graph_csr`, when given, must be an unmasked flat snapshot of
-/// `query_graph.graph` (core/csr_snapshot.h); the per-target restriction
-/// traversal then runs over its packed arrays instead of the pointer
-/// adjacency. Callers canonicalizing many targets against one graph (the
-/// serving fan-out, ingest recanonicalization) build the snapshot once
-/// and pass it to every call; the produced candidate is identical either
-/// way.
+/// not one of the answers. A one-answer CandidateCanonicalizer: callers
+/// canonicalizing many targets of one graph (the serving fan-out) should
+/// hold one canonicalizer instead, so validation and the forward reach
+/// run once. `graph_csr` is as for CandidateCanonicalizer::Create.
 Result<CanonicalCandidate> CanonicalizeCandidate(
     const QueryGraph& query_graph, NodeId target,
     const CanonicalizeOptions& options = {},

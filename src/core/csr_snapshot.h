@@ -119,8 +119,8 @@ Result<CsrQuerySnapshot> BuildCsrQuerySnapshot(const QueryGraph& query_graph);
 /// subgraph: Reach(source) ∩ ∪_t CoReach(t), plus the source and every
 /// valid answer — computed by forward/backward BFS over the flat arrays.
 /// `csr` must be an unmasked snapshot of the graph the ids refer to.
-/// Bit-for-bit identical to the mask RestrictToQueryRelevantSubgraph
-/// derives on the pointer graph (asserted by the differential suite).
+/// Bit-for-bit identical to the mask the pointer-graph restriction
+/// derives (asserted by the differential suite against its reference).
 std::vector<bool> QueryRelevantMask(const CsrSnapshot& csr, NodeId source,
                                     const std::vector<NodeId>& answers);
 

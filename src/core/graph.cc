@@ -1,14 +1,6 @@
 #include "core/graph.h"
 
-#include <algorithm>
-
 namespace biorank {
-
-namespace {
-
-double ClampProb(double p) { return std::min(1.0, std::max(0.0, p)); }
-
-}  // namespace
 
 NodeId ProbabilisticEntityGraph::AddNode(double p, std::string label,
                                          std::string entity_set) {

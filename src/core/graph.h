@@ -5,6 +5,7 @@
 #ifndef BIORANK_CORE_GRAPH_H_
 #define BIORANK_CORE_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,6 +22,11 @@ using NodeId = int32_t;
 using EdgeId = int32_t;
 
 inline constexpr NodeId kInvalidNode = -1;
+
+/// Clamps a probability label into [0,1] (NaN maps to 0). Every write of
+/// a node or edge probability goes through it, including the reduction
+/// rules' merged and spliced edges.
+inline double ClampProb(double p) { return std::min(1.0, std::max(0.0, p)); }
 
 /// A node of the probabilistic entity graph (Definition 2.1): one data
 /// record from one entity set, present with probability `p`.

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/csr_snapshot.h"
 #include "core/graph.h"
 #include "core/query_graph.h"
 #include "util/status.h"
@@ -50,33 +49,9 @@ ProbabilisticEntityGraph InducedSubgraph(const ProbabilisticEntityGraph& graph,
 /// lying on some source -> t path (i.e. Reach(source) intersected with the
 /// union of CoReach(t)). Answers unreachable from the source are kept as
 /// isolated nodes so that every input answer remains a valid (score-0)
-/// answer in the output.
+/// answer in the output. (Per-answer canonicalization restricts on its own
+/// flat footprint instead; see core/canonical.h.)
 QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph);
-
-/// Same, but restricting to the given answer subset instead of
-/// `query_graph.answers` (the output's answer set is `answers`). Lets
-/// per-candidate callers (core/canonical.h) restrict to one target
-/// without first copying the whole graph just to swap the answer list.
-/// `kept_nodes` (optional out-param) receives the membership mask of the
-/// restriction, indexed by *original* NodeId — the provenance record the
-/// ingest layer's dependency index is built from.
-QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph,
-                                           const std::vector<NodeId>& answers,
-                                           std::vector<bool>* kept_nodes =
-                                               nullptr);
-
-/// Same restriction, but the membership mask is computed by BFS over a
-/// prebuilt flat snapshot of `query_graph.graph` (core/csr_snapshot.h)
-/// instead of walking the pointer graph's tombstone-filtered adjacency.
-/// `graph_csr` must be an unmasked snapshot of exactly that graph — the
-/// per-candidate fan-out in canonicalization builds it once per request
-/// and reuses it for every target. The produced mask, subgraph, and
-/// answer mapping are identical to the pointer overload's.
-QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph,
-                                           const std::vector<NodeId>& answers,
-                                           const CsrSnapshot& graph_csr,
-                                           std::vector<bool>* kept_nodes =
-                                               nullptr);
 
 /// Graphviz DOT rendering (nodes annotated with p, edges with q; source
 /// drawn as a box, answers as double circles).

@@ -5,6 +5,9 @@
 #ifndef BIORANK_CORE_REDUCTION_H_
 #define BIORANK_CORE_REDUCTION_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "core/query_graph.h"
 
 namespace biorank {
@@ -46,10 +49,111 @@ struct ReductionStats {
   }
 };
 
+/// The one representation the reduction rules run on: a small flat graph
+/// with dense node ids, append-only edge ids, and per-node out/in edge
+/// lists kept as singly linked chains in edge-id order. Removal is a
+/// tombstone plus degree bookkeeping, so the rules' iteration orders (and
+/// with them every floating-point operation) replay the pointer graph's
+/// exactly: node ids ascend, each node's out-edges ascend by edge id, and
+/// a spliced edge takes the next id. Callers fill it (LoadQueryGraph, or
+/// canonicalization straight from a CSR footprint), run ReduceFlatGraph,
+/// and read the survivors back. Clear() keeps capacity, so one instance
+/// serves as reusable per-thread scratch.
+struct FlatReductionGraph {
+  /// Node roles; any nonzero role protects the node from deletion and
+  /// serial collapse.
+  static constexpr uint8_t kRoleSource = 1;
+  static constexpr uint8_t kRoleTarget = 2;
+  static constexpr int32_t kNone = -1;
+
+  struct Node {
+    double p = 1.0;
+    int32_t out_head = kNone;
+    int32_t out_tail = kNone;
+    int32_t in_head = kNone;
+    int32_t in_tail = kNone;
+    int32_t out_degree = 0;  ///< Alive out-edges.
+    int32_t in_degree = 0;   ///< Alive in-edges.
+    uint8_t role = 0;
+    bool alive = true;
+  };
+  struct Edge {
+    int32_t from = kNone;
+    int32_t to = kNone;
+    int32_t out_next = kNone;  ///< Next edge in `from`'s out chain.
+    int32_t in_next = kNone;   ///< Next edge in `to`'s in chain.
+    double q = 1.0;
+    bool alive = true;
+  };
+
+  std::vector<Node> nodes;
+  std::vector<Edge> edges;
+  int alive_nodes = 0;
+  int alive_edges = 0;
+
+  /// Empties the graph, keeping capacity.
+  void Clear();
+  /// Appends a live node; `p` is stored as given.
+  int32_t AddNode(double p, uint8_t role);
+  /// Appends a live edge at the tail of both endpoints' chains; `q` is
+  /// stored as given.
+  int32_t AddEdge(int32_t from, int32_t to, double q);
+  void RemoveEdge(int32_t e);
+  /// Tombstones `x` and every alive edge incident to it.
+  void RemoveNode(int32_t x);
+
+  /// Visits each alive out-/in-edge of `x` in edge-id order.
+  template <typename Fn>
+  void ForEachOutEdge(int32_t x, Fn&& fn) const {
+    for (int32_t e = nodes[static_cast<size_t>(x)].out_head; e != kNone;
+         e = edges[static_cast<size_t>(e)].out_next) {
+      if (edges[static_cast<size_t>(e)].alive) fn(e);
+    }
+  }
+  template <typename Fn>
+  void ForEachInEdge(int32_t x, Fn&& fn) const {
+    for (int32_t e = nodes[static_cast<size_t>(x)].in_head; e != kNone;
+         e = edges[static_cast<size_t>(e)].in_next) {
+      if (edges[static_cast<size_t>(e)].alive) fn(e);
+    }
+  }
+
+  /// Parallel-merge scratch of ReduceFlatGraph, indexed by target node:
+  /// each source node's scan stamps the targets it folds.
+  struct MergeGroup {
+    int32_t stamp = 0;
+    int32_t first = kNone;
+    int32_t count = 0;
+    double fail = 1.0;
+  };
+  std::vector<MergeGroup> merge;
+  int32_t merge_epoch = 0;
+};
+
+/// Applies the transformation rules to `graph` until a pass changes
+/// nothing (Section 3.1), protecting every node with a nonzero role.
+/// Each pass runs, in order: self-loop deletion (edge-id order), parallel
+/// merge (per node, product of 1 - q over the group in out-edge order,
+/// the first edge kept with ClampProb(1 - product)), serial collapse (node
+/// order; the spliced edge ClampProb(q_in * p * q_out) is appended),
+/// sink deletion to fixpoint, then orphan deletion to fixpoint.
+ReductionStats ReduceFlatGraph(FlatReductionGraph& graph,
+                               const ReductionOptions& options = {});
+
+/// Fills `flat` with the alive part of `query_graph`: alive nodes in
+/// ascending id (role source / target for the query node and every
+/// answer), alive edges in ascending id. `node_ids` / `edge_ids`
+/// (optional) receive the flat -> original id maps.
+void LoadQueryGraph(const QueryGraph& query_graph, FlatReductionGraph& flat,
+                    std::vector<NodeId>* node_ids = nullptr,
+                    std::vector<EdgeId>* edge_ids = nullptr);
+
 /// Applies the transformation rules repeatedly until none changes the
 /// graph (Section 3.1). The source and all answer nodes are protected from
 /// deletion and from serial collapse. Mutates `query_graph` in place
-/// (tombstoning removed elements) and returns counters.
+/// (tombstoning removed elements, appending spliced edges under the ids
+/// the rules create them in) and returns counters. Runs ReduceFlatGraph
+/// on the alive part and writes the result back.
 ///
 /// Rule semantics:
 ///  - Serial collapse of interior node x with unique in-edge (y,x) and

@@ -65,13 +65,23 @@ Status RankingService::CanonicalizeTargets(
                                   ? ThreadPool::kUnlimitedParallelism
                                   : options_.num_threads;
   out.clear();
+  // The per-call prologue (validation, Reach(source), target checks) runs
+  // before any fan-out; scratch lives in this call's canonicalizer, one
+  // set per pool slot.
+  Result<CandidateCanonicalizer> created = CandidateCanonicalizer::Create(
+      graph, canonicalize, graph_csr, pool.slot_count());
+  if (!created.ok()) return created.status();
+  CandidateCanonicalizer& canonicalizer = created.value();
+  for (NodeId target : targets) {
+    BIORANK_RETURN_IF_ERROR(canonicalizer.CheckTarget(target));
+  }
   out.resize(targets.size());
   std::vector<Status> status(targets.size());
   pool.ParallelFor(
       static_cast<int64_t>(targets.size()),
-      [&](int, int64_t i) {
-        Result<CanonicalCandidate> canonical = CanonicalizeCandidate(
-            graph, targets[static_cast<size_t>(i)], canonicalize, graph_csr);
+      [&](int slot, int64_t i) {
+        Result<CanonicalCandidate> canonical = canonicalizer.Canonicalize(
+            slot, targets[static_cast<size_t>(i)]);
         if (canonical.ok()) {
           out[static_cast<size_t>(i)] = std::move(canonical.value());
         } else {
@@ -116,7 +126,22 @@ Result<TopKResult> RankingService::RankTopK(const QueryGraph& query_graph,
     BIORANK_RETURN_IF_ERROR(CanonicalizeTargets(query_graph, answers,
                                                 options_.canonicalize,
                                                 canonicals, &request_csr));
-    span.Counter("targets", static_cast<int64_t>(answers.size()));
+    if (span.active()) {
+      // Deterministic work counters: restriction footprint and reduced
+      // size, summed over the request's candidates.
+      int64_t restricted_nodes = 0;
+      int64_t restricted_edges = 0;
+      int64_t reduced_edges = 0;
+      for (const CanonicalCandidate& c : canonicals) {
+        restricted_nodes += c.reduction_stats.nodes_before;
+        restricted_edges += c.reduction_stats.edges_before;
+        reduced_edges += c.reduction_stats.edges_after;
+      }
+      span.Counter("targets", static_cast<int64_t>(answers.size()));
+      span.Counter("restricted_nodes", restricted_nodes);
+      span.Counter("restricted_edges", restricted_edges);
+      span.Counter("reduced_edges", reduced_edges);
+    }
   }
 
   std::vector<PreparedCandidate> prepared(answers.size());

@@ -224,11 +224,15 @@ class RankingService {
   /// thread count), writing `out[i]` for `targets[i]`. RankTopK's phase
   /// 1 and the ingest applier's dirty-answer re-canonicalization share
   /// this one fan-out, so pool selection, parallelism caps, and error
-  /// propagation cannot drift apart. `graph_csr`, when non-null, is an
-  /// unmasked flat snapshot of `graph` shared read-only by every target's
+  /// propagation cannot drift apart. Validation, Reach(source), and the
+  /// target checks run once, before the fan-out (an invalid graph or a
+  /// non-answer target fails with InvalidArgument and canonicalizes
+  /// nothing); each target then runs the flat restrict/reduce/label
+  /// kernel on scratch owned by this call, one set per pool slot (see
+  /// CandidateCanonicalizer). `graph_csr`, when non-null, is an unmasked
+  /// flat snapshot of `graph` shared read-only by every target's
   /// restriction traversal (RankTopK builds one per request; the ingest
-  /// applier maintains one across deltas); null falls back to walking the
-  /// pointer graph per target.
+  /// applier maintains one across deltas); null builds one for the call.
   Status CanonicalizeTargets(const QueryGraph& graph,
                              const std::vector<NodeId>& targets,
                              const CanonicalizeOptions& canonicalize,

@@ -6,11 +6,15 @@
 // in a different order) — the exact regression this suite exists to
 // catch before it ships as a silent ranking change.
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/canonical.h"
 #include "core/query_graph.h"
+#include "core/reduction.h"
 #include "testing/differential.h"
 #include "testing/random_graphs.h"
 #include "util/rng.h"
@@ -20,7 +24,8 @@ namespace {
 
 using testing::CompareDiffusionBackends;
 using testing::CompareMcBackends;
-using testing::CompareRestrictionBackends;
+using testing::CompareCanonicalizationWithReference;
+using testing::CompareReductionWithReference;
 using testing::CompareTopKBackends;
 using testing::DiffResult;
 
@@ -110,10 +115,53 @@ TEST(CsrDifferentialTest, DiffusionBitIdentical) {
 }
 
 TEST(CsrDifferentialTest, RestrictionAndCanonicalizationIdentical) {
+  // Production flat canonicalization vs the pointer reference over the
+  // harness's full graph count, alternating provenance collection and
+  // sometimes starving the labeling budget (first-branch-only search).
   Rng rng(5150);
-  for (int round = 0; round < 40; ++round) {
+  for (int round = 0; round < 206; ++round) {
     QueryGraph query = GraphForRound(rng, round);
-    DiffResult r = CompareRestrictionBackends(query);
+    CanonicalizeOptions options;
+    options.collect_provenance = (round % 2) == 0;
+    if (round % 5 == 4) options.max_label_leaves = 1;
+    DiffResult r = CompareCanonicalizationWithReference(query, options);
+    EXPECT_TRUE(r.ok) << "round " << round << ": " << r.message;
+  }
+}
+
+TEST(CsrDifferentialTest, ReductionAdapterIdentical) {
+  // ReduceQueryGraph (flat kernel + write-back) vs the pointer reference
+  // rules, on graphs with tombstones and parallel edges, under every
+  // subset of the five rules.
+  Rng rng(8086);
+  for (int round = 0; round < 206; ++round) {
+    QueryGraph query = GraphForRound(rng, round);
+    ProbabilisticEntityGraph& graph = query.graph;
+    if (round % 3 == 0 && graph.num_edges() > 0) {
+      const std::vector<EdgeId> alive = graph.AliveEdges();
+      const EdgeId e = alive[rng.NextBounded(alive.size())];
+      const GraphEdge edge = graph.edge(e);
+      ASSERT_TRUE(graph.AddEdge(edge.from, edge.to, 0.5 * edge.q).ok());
+      ASSERT_TRUE(graph.RemoveEdge(e).ok());
+    }
+    if (round % 4 == 1) {
+      const NodeId x = static_cast<NodeId>(
+          rng.NextBounded(static_cast<uint64_t>(graph.node_capacity())));
+      const bool is_answer =
+          std::find(query.answers.begin(), query.answers.end(), x) !=
+          query.answers.end();
+      if (x != query.source && !is_answer) {
+        ASSERT_TRUE(graph.RemoveNode(x).ok());
+      }
+    }
+    const int rules = round % 32;
+    ReductionOptions options;
+    options.delete_sinks = (rules & 1) == 0;
+    options.collapse_serial = (rules & 2) == 0;
+    options.merge_parallel = (rules & 4) == 0;
+    options.delete_orphans = (rules & 8) == 0;
+    options.delete_self_loops = (rules & 16) == 0;
+    DiffResult r = CompareReductionWithReference(query, options);
     EXPECT_TRUE(r.ok) << "round " << round << ": " << r.message;
   }
 }

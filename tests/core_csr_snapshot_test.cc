@@ -13,6 +13,7 @@
 
 #include "core/graph_algo.h"
 #include "testing/random_graphs.h"
+#include "testing/reference_canonical.h"
 #include "util/rng.h"
 
 namespace biorank {
@@ -252,7 +253,7 @@ TEST(CsrSnapshotTest, KeptMaskMatchesInducedSubgraph) {
 
     std::vector<bool> kept;
     QueryGraph restricted =
-        RestrictToQueryRelevantSubgraph(query, query.answers, &kept);
+        testing::ReferenceRestrict(query, query.answers, &kept);
 
     CsrSnapshot masked = BuildCsrSnapshot(query.graph, &kept);
     CsrSnapshot reference = BuildCsrSnapshot(restricted.graph);

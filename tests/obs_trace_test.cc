@@ -8,14 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/query.h"
 #include "api/server.h"
+#include "core/canonical.h"
 #include "core/query_graph.h"
 #include "obs/export.h"
+#include "testing/random_graphs.h"
+#include "util/rng.h"
 
 namespace biorank {
 namespace {
@@ -179,6 +183,56 @@ TEST(ObsTracingIntegrationTest, TracingOnVsOffIsBitIdentical) {
   EXPECT_EQ(api::RankingFingerprint(cold.value()),
             api::RankingFingerprint(with.value()));
   EXPECT_GT(trace.SpanCount(), 0u);
+}
+
+TEST(ObsTracingIntegrationTest, CanonicalizeSpanCountsTheRestrictionWork) {
+  api::Server& server = TracedServer();
+  Rng rng(4711);
+  testing::RandomDagOptions dag;
+  dag.layers = 3;
+  dag.nodes_per_layer = 5;
+  dag.answers = 6;
+  const QueryGraph graph = testing::MakeRandomLayeredDag(rng, dag);
+
+  // The counters are sums of the candidates' reduction stats, so they
+  // are host-independent and reproducible from CanonicalizeCandidate.
+  int64_t restricted_nodes = 0;
+  int64_t restricted_edges = 0;
+  int64_t reduced_edges = 0;
+  for (NodeId t : graph.answers) {
+    Result<CanonicalCandidate> c = CanonicalizeCandidate(
+        graph, t, server.options().ranking.canonicalize);
+    ASSERT_TRUE(c.ok()) << c.status();
+    restricted_nodes += c.value().reduction_stats.nodes_before;
+    restricted_edges += c.value().reduction_stats.edges_before;
+    reduced_edges += c.value().reduction_stats.edges_after;
+  }
+  ASSERT_GT(restricted_edges, reduced_edges);
+
+  api::QueryOptions untraced;
+  api::Result<api::QueryResponse> plain = server.RankGraph(graph, untraced);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  obs::Trace trace(7);
+  api::QueryOptions traced = untraced;
+  traced.trace = &trace;
+  api::Result<api::QueryResponse> with = server.RankGraph(graph, traced);
+  ASSERT_TRUE(with.ok()) << with.status();
+  EXPECT_EQ(api::RankingFingerprint(plain.value()),
+            api::RankingFingerprint(with.value()));
+
+  int found = 0;
+  for (const obs::Span& span : trace.Spans()) {
+    if (span.name != "serve.canonicalize") continue;
+    ++found;
+    std::map<std::string, int64_t> counters(span.counters.begin(),
+                                            span.counters.end());
+    EXPECT_EQ(counters["targets"],
+              static_cast<int64_t>(graph.answers.size()));
+    EXPECT_EQ(counters["restricted_nodes"], restricted_nodes);
+    EXPECT_EQ(counters["restricted_edges"], restricted_edges);
+    EXPECT_EQ(counters["reduced_edges"], reduced_edges);
+  }
+  EXPECT_EQ(found, 1);
 }
 
 TEST(ObsTracingIntegrationTest, SlowQueryCaptureHasNestedSpanTree) {

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/canonical.h"
+#include "core/csr_snapshot.h"
 #include "core/query_graph.h"
 #include "core/reliability_exact.h"
 #include "testing/random_graphs.h"
+#include "testing/reference_canonical.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -246,6 +251,113 @@ TEST(RankingServiceTest, InvalidRequestsAreRejected) {
   Result<TopKResult> clamped = service.RankTopK(g, 99);
   ASSERT_TRUE(clamped.ok());
   EXPECT_EQ(clamped.value().top.size(), g.answers.size());
+}
+
+TEST(RankingServiceTest, CanonicalizeRejectsBeforeFanOut) {
+  RankingService service;
+  const CanonicalizeOptions options;
+  std::vector<CanonicalCandidate> out;
+
+  QueryGraph duplicate = MakeFig4bWheatstoneBridge();
+  duplicate.answers.push_back(duplicate.answers[0]);
+  Status status = service.CanonicalizeTargets(duplicate, duplicate.answers,
+                                              options, out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(CanonicalizeCandidate(duplicate, duplicate.answers[0])
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  QueryGraph dead_source = MakeFig4aSerialParallel();
+  ASSERT_TRUE(dead_source.graph.RemoveNode(dead_source.source).ok());
+  status = service.CanonicalizeTargets(dead_source, dead_source.answers,
+                                       options, out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(out.empty());
+
+  // A non-answer target anywhere in the list fails the whole call before
+  // any target is canonicalized, on the caller-built snapshot path too.
+  const QueryGraph bridge = MakeFig4bWheatstoneBridge();
+  const CsrSnapshot csr = BuildCsrSnapshot(bridge.graph);
+  for (NodeId bad : {bridge.source, NodeId{-1}, NodeId{1000}}) {
+    std::vector<NodeId> targets = {bridge.answers[0], bad};
+    status = service.CanonicalizeTargets(bridge, targets, options, out, &csr);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(CanonicalizeCandidate(bridge, bad, options, &csr).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+/// Canonicalizes `targets` of every graph through `service` and checks
+/// each candidate against the pointer reference.
+void ExpectMatchesReference(RankingService& service,
+                            const std::vector<QueryGraph>& graphs,
+                            bool one_target_per_call, int& mismatches) {
+  CanonicalizeOptions options;
+  options.collect_provenance = true;
+  for (const QueryGraph& g : graphs) {
+    std::vector<std::vector<NodeId>> calls;
+    if (one_target_per_call) {
+      for (NodeId t : g.answers) calls.push_back({t});
+    } else {
+      calls.push_back(g.answers);
+    }
+    for (const std::vector<NodeId>& targets : calls) {
+      std::vector<CanonicalCandidate> out;
+      if (!service.CanonicalizeTargets(g, targets, options, out).ok()) {
+        ++mismatches;
+        continue;
+      }
+      for (size_t i = 0; i < targets.size(); ++i) {
+        Result<CanonicalCandidate> want =
+            testing::ReferenceCanonicalizeCandidate(g, targets[i], options);
+        if (!want.ok() || out[i].key.repr != want.value().key.repr ||
+            out[i].provenance.edges != want.value().provenance.edges ||
+            out[i].reduction_stats.passes !=
+                want.value().reduction_stats.passes) {
+          ++mismatches;
+        }
+      }
+    }
+  }
+}
+
+TEST(RankingServiceTest, ConcurrentCallersOwnTheirScratch) {
+  // Scratch belongs to each call, never to the service or a slot of the
+  // pool: two external callers may both run on slot 0 — one inline (a
+  // single target), one as pool worker 0 — or both inline on a
+  // one-thread service. Every result must still equal the reference.
+  std::vector<QueryGraph> graphs = MakeWorkload(6, 97);
+  ThreadPool pool(3);
+  RankingServiceOptions pooled_options;
+  pooled_options.num_threads = 4;
+  pooled_options.pool = &pool;
+  RankingService pooled(pooled_options);
+  RankingServiceOptions inline_options;
+  inline_options.num_threads = 1;
+  RankingService inline_service(inline_options);
+
+  for (RankingService* service : {&pooled, &inline_service}) {
+    int mismatches_a = 0;
+    int mismatches_b = 0;
+    std::thread a([&] {
+      for (int rep = 0; rep < 3; ++rep) {
+        ExpectMatchesReference(*service, graphs, true, mismatches_a);
+      }
+    });
+    std::thread b([&] {
+      for (int rep = 0; rep < 3; ++rep) {
+        ExpectMatchesReference(*service, graphs, false, mismatches_b);
+      }
+    });
+    a.join();
+    b.join();
+    EXPECT_EQ(mismatches_a, 0);
+    EXPECT_EQ(mismatches_b, 0);
+  }
 }
 
 }  // namespace

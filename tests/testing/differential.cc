@@ -6,6 +6,8 @@
 #include "core/canonical.h"
 #include "core/csr_snapshot.h"
 #include "core/graph_algo.h"
+#include "core/reduction.h"
+#include "testing/reference_canonical.h"
 
 namespace biorank::testing {
 
@@ -142,37 +144,137 @@ DiffResult CompareDiffusionBackends(const QueryGraph& query_graph,
   return {};
 }
 
-DiffResult CompareRestrictionBackends(const QueryGraph& query_graph) {
+namespace {
+
+bool StatsEqual(const ReductionStats& a, const ReductionStats& b) {
+  return a.nodes_before == b.nodes_before &&
+         a.edges_before == b.edges_before && a.nodes_after == b.nodes_after &&
+         a.edges_after == b.edges_after &&
+         a.sink_deletions == b.sink_deletions &&
+         a.orphan_deletions == b.orphan_deletions &&
+         a.serial_collapses == b.serial_collapses &&
+         a.parallel_merges == b.parallel_merges &&
+         a.self_loop_deletions == b.self_loop_deletions &&
+         a.passes == b.passes;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Empty when the candidates are identical, else the first difference.
+std::string DiffCandidates(const CanonicalCandidate& got,
+                           const CanonicalCandidate& want) {
+  if (got.key.repr != want.key.repr) return "key.repr";
+  if (got.key.hash != want.key.hash) return "key.hash";
+  if (got.target != want.target) return "target";
+  if (got.canonical.source != want.canonical.source ||
+      got.canonical.answers != want.canonical.answers) {
+    return "canonical roles";
+  }
+  if (!CsrBytesEqual(BuildCsrSnapshot(got.canonical.graph),
+                     BuildCsrSnapshot(want.canonical.graph))) {
+    return "canonical graph";
+  }
+  if (!StatsEqual(got.reduction_stats, want.reduction_stats)) {
+    return "reduction_stats";
+  }
+  if (got.provenance.nodes != want.provenance.nodes) {
+    return "provenance.nodes";
+  }
+  if (got.provenance.edges != want.provenance.edges) {
+    return "provenance.edges";
+  }
+  return "";
+}
+
+}  // namespace
+
+DiffResult CompareCanonicalizationWithReference(
+    const QueryGraph& query_graph, const CanonicalizeOptions& options) {
   const CsrSnapshot csr = BuildCsrSnapshot(query_graph.graph);
-  for (NodeId target : query_graph.answers) {
-    std::vector<bool> kept_ptr, kept_csr;
-    RestrictToQueryRelevantSubgraph(query_graph, {target}, &kept_ptr);
-    RestrictToQueryRelevantSubgraph(query_graph, {target}, csr, &kept_csr);
-    if (kept_ptr != kept_csr) {
+  // The serving shape: one canonicalizer per call, two slots whose
+  // scratch is reused across answers (epoch-stamped marks).
+  Result<CandidateCanonicalizer> batch =
+      CandidateCanonicalizer::Create(query_graph, options, &csr, 2);
+  if (!batch.ok()) {
+    return Fail("canonicalizer rejects the graph: " +
+                batch.status().message());
+  }
+  for (size_t i = 0; i < query_graph.answers.size(); ++i) {
+    const NodeId target = query_graph.answers[i];
+    std::vector<bool> kept_ref;
+    ReferenceRestrict(query_graph, {target}, &kept_ref);
+    if (QueryRelevantMask(csr, query_graph.source, {target}) != kept_ref) {
       return Fail("kept masks diverge for target " + std::to_string(target));
     }
 
-    CanonicalizeOptions options;
-    options.collect_provenance = true;
-    Result<CanonicalCandidate> ptr_cand =
+    Result<CanonicalCandidate> ref =
+        ReferenceCanonicalizeCandidate(query_graph, target, options);
+    Result<CanonicalCandidate> fan =
+        batch.value().Canonicalize(static_cast<int>(i % 2), target);
+    Result<CanonicalCandidate> one =
         CanonicalizeCandidate(query_graph, target, options);
-    Result<CanonicalCandidate> csr_cand =
-        CanonicalizeCandidate(query_graph, target, options, &csr);
-    if (ptr_cand.ok() != csr_cand.ok()) {
+    if (ref.ok() != fan.ok() || ref.ok() != one.ok()) {
       return Fail("canonicalization status diverges for target " +
                   std::to_string(target));
     }
-    if (!ptr_cand.ok()) continue;
-    if (ptr_cand.value().key.repr != csr_cand.value().key.repr) {
-      return Fail("canonical keys diverge for target " +
-                  std::to_string(target));
+    if (!ref.ok()) continue;
+    for (const CanonicalCandidate* got : {&fan.value(), &one.value()}) {
+      const std::string diff = DiffCandidates(*got, ref.value());
+      if (!diff.empty()) {
+        return Fail(diff + " diverges from the reference for target " +
+                    std::to_string(target));
+      }
     }
-    if (ptr_cand.value().provenance.nodes !=
-            csr_cand.value().provenance.nodes ||
-        ptr_cand.value().provenance.edges !=
-            csr_cand.value().provenance.edges) {
-      return Fail("provenance footprints diverge for target " +
-                  std::to_string(target));
+    if (options.collect_provenance) {
+      std::vector<NodeId> mask_nodes;
+      for (NodeId id = 0; id < static_cast<NodeId>(kept_ref.size()); ++id) {
+        if (kept_ref[static_cast<size_t>(id)]) mask_nodes.push_back(id);
+      }
+      if (fan.value().provenance.nodes != mask_nodes) {
+        return Fail("provenance nodes differ from the kept mask for target " +
+                    std::to_string(target));
+      }
+    }
+  }
+  return {};
+}
+
+DiffResult CompareReductionWithReference(const QueryGraph& query_graph,
+                                         const ReductionOptions& options) {
+  QueryGraph got = query_graph;
+  QueryGraph want = query_graph;
+  const ReductionStats got_stats = ReduceQueryGraph(got, options);
+  const ReductionStats want_stats = ReferenceReduceQueryGraph(want, options);
+  if (!StatsEqual(got_stats, want_stats)) {
+    return Fail("reduction stats diverge");
+  }
+  const ProbabilisticEntityGraph& a = got.graph;
+  const ProbabilisticEntityGraph& b = want.graph;
+  if (a.node_capacity() != b.node_capacity() ||
+      a.edge_capacity() != b.edge_capacity() ||
+      a.num_nodes() != b.num_nodes() || a.num_edges() != b.num_edges()) {
+    return Fail("reduced graph sizes diverge");
+  }
+  for (NodeId x = 0; x < a.node_capacity(); ++x) {
+    if (a.IsValidNode(x) != b.IsValidNode(x) ||
+        Bits(a.node(x).p) != Bits(b.node(x).p)) {
+      return Fail("node " + std::to_string(x) + " diverges");
+    }
+    if (a.IsValidNode(x) &&
+        (a.OutEdges(x) != b.OutEdges(x) || a.InEdges(x) != b.InEdges(x))) {
+      return Fail("adjacency of node " + std::to_string(x) + " diverges");
+    }
+  }
+  for (EdgeId e = 0; e < a.edge_capacity(); ++e) {
+    const GraphEdge& ea = a.edge(e);
+    const GraphEdge& eb = b.edge(e);
+    if (a.IsValidEdge(e) != b.IsValidEdge(e) || ea.from != eb.from ||
+        ea.to != eb.to || Bits(ea.q) != Bits(eb.q)) {
+      return Fail("edge " + std::to_string(e) + " diverges");
     }
   }
   return {};

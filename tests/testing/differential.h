@@ -11,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "core/canonical.h"
 #include "core/diffusion.h"
 #include "core/query_graph.h"
+#include "core/reduction.h"
 #include "core/reliability_mc.h"
 #include "core/topk_mc.h"
 
@@ -50,10 +52,22 @@ DiffResult CompareTopKBackends(const QueryGraph& query_graph,
 DiffResult CompareDiffusionBackends(const QueryGraph& query_graph,
                                     const DiffusionOptions& base);
 
-/// Compares the query-relevant restriction of every answer between the
-/// pointer traversal and the CSR-mask overload: kept masks, canonical
-/// keys, and provenance footprints must match exactly.
-DiffResult CompareRestrictionBackends(const QueryGraph& query_graph);
+/// Canonicalizes every answer of `query_graph` on the production flat
+/// path — through one two-slot CandidateCanonicalizer (scratch reused
+/// across answers) and through one-shot CanonicalizeCandidate — and on
+/// the pointer reference (testing/reference_canonical.h). Keys (repr and
+/// hash), canonical graphs (CSR byte equality), targets, every
+/// ReductionStats field, and provenance must match exactly, and
+/// QueryRelevantMask must equal the reference's kept mask.
+DiffResult CompareCanonicalizationWithReference(
+    const QueryGraph& query_graph, const CanonicalizeOptions& options);
+
+/// Runs ReduceQueryGraph (the flat kernel behind its adapter) and the
+/// pointer reference rules on copies of `query_graph` and compares the
+/// post-states: stats, alive node and edge ids, adjacency order, and
+/// p/q bit patterns.
+DiffResult CompareReductionWithReference(const QueryGraph& query_graph,
+                                         const ReductionOptions& options);
 
 }  // namespace biorank::testing
 
