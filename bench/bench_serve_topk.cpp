@@ -13,8 +13,12 @@
 // (registry-free) RankingService vs one recording into a registry, so
 // the cost of the metrics hot path stays measured (report-only; the
 // zero-perturbation *output* contract is gated, here and in the tests).
+// factoring_calls counts the conditioning calls exact factoring spent on
+// the irreducible mini-workload: a host-independent work counter that
+// must equal the committed baseline exactly.
 
 #include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <vector>
 
@@ -148,6 +152,7 @@ int main() {
   api::Server mc_reference(mc_reference_options);
   int irreducible_exact = 0;
   int irreducible_mc = 0;
+  int64_t factoring_calls = 0;
   for (int i = 0; i < 6; ++i) {
     QueryGraph bridge = MakeBridge(0.30 + 0.05 * i);
     api::Result<api::QueryResponse> by_factoring =
@@ -159,6 +164,7 @@ int main() {
       return 1;
     }
     irreducible_exact += by_factoring.value().stats.exact;
+    factoring_calls += by_factoring.value().stats.factoring_calls;
     irreducible_mc += by_mc.value().stats.monte_carlo;
     if (api::RankingFingerprint(by_mc.value()) != api::RankingFingerprint(by_mc_ref.value())) {
       deterministic = false;
@@ -167,7 +173,8 @@ int main() {
   bool irreducible_covered = irreducible_exact > 0 && irreducible_mc > 0;
   std::cout << "\nIrreducible residues: " << irreducible_exact
             << " factoring and " << irreducible_mc
-            << " MC resolutions exercised.\n";
+            << " MC resolutions exercised (" << factoring_calls
+            << " factoring calls).\n";
 
   // Observability overhead A/B: the identical cache-off single-thread
   // workload through a bare RankingService (registry = nullptr — the
@@ -255,6 +262,8 @@ int main() {
   report.SetMetric("cache_evictions", static_cast<int64_t>(cache.evictions));
   report.SetMetric("irreducible_exact_resolutions", irreducible_exact);
   report.SetMetric("irreducible_mc_resolutions", irreducible_mc);
+  // Host-independent work counter, gated exactly against the baseline.
+  report.SetMetric("factoring_calls", factoring_calls);
   report.SetMetric("deterministic_output", deterministic);
   report.SetMetric("obs_overhead_ratio", obs_overhead_ratio);
   report.SetMetric("obs_ab_reps", ab_reps);

@@ -13,7 +13,8 @@ job summary. Exit status is nonzero when
   * any per-bench acceptance assertion in BENCH_GATES fails — the one
     schema-driven source of truth for every report's correctness bits
     and floor metrics (bit-identity flags, cache hit-rate floors, the
-    CSR duel speedup, the shard-scaling floor). Most of these floors
+    CSR duel speedup, the shard-scaling floor) and for the deterministic
+    work counters that must equal their baseline exactly. Most of these floors
     are also enforced by the bench binary's own exit code; this gate
     re-checks them against the report the artifact actually carries, or
   * a baseline bench produced no report at all (a silently skipped bench
@@ -53,7 +54,8 @@ OPTIONAL_BENCHES = {
 # --- Per-bench acceptance assertions -----------------------------------
 #
 # Each checker takes a report's metrics dict and returns a list of
-# failure strings (empty = pass). BENCH_GATES maps bench name -> its
+# failure strings (empty = pass); a checker marked compares_baseline
+# also takes the committed baseline's metrics dict. BENCH_GATES maps bench name -> its
 # checkers; gates run only when the bench produced a report (a missing
 # report is handled by the baseline comparison above). This table is the
 # single declarative home of every report assertion CI enforces — no
@@ -95,6 +97,25 @@ def positive(key):
         if int(metrics.get(key, 0)) <= 0:
             return [f"{key} is {metrics.get(key, 0)} — the bench did no work"]
         return []
+    return check
+
+
+def exact_match(key):
+    """metrics[key] must equal the committed baseline's value exactly. For
+    deterministic work counters (conditioning calls, coins drawn): they do
+    not depend on the host, so any difference means the code did
+    different work, never that the runner was noisy. No tolerance."""
+    def check(metrics, baseline_metrics):
+        if key not in metrics:
+            return [f"{key} is missing from the report"]
+        if key not in baseline_metrics:
+            return [f"{key} is missing from the committed baseline"]
+        value, expected = int(metrics[key]), int(baseline_metrics[key])
+        if value != expected:
+            return [f"{key} {value} differs from the baseline's {expected} "
+                    f"(a deterministic counter: the work changed)"]
+        return []
+    check.compares_baseline = True
     return check
 
 
@@ -159,6 +180,7 @@ BENCH_GATES = {
         # flaky on shared 1-core hosts) but it must exist and be sane —
         # a zero would mean the A/B never ran.
         floor("obs_overhead_ratio", 0.0),
+        exact_match("factoring_calls"),
     ],
     "ingest_updates": [
         flag("deterministic_output",
@@ -437,9 +459,13 @@ def main() -> int:
         if report is None:
             continue
         metrics = report.get("metrics", {})
+        baseline_metrics = baseline.get(name, {}).get("metrics", {})
         for checker in checkers:
-            failures.extend(f"{name}: {failure}"
-                            for failure in checker(metrics))
+            if getattr(checker, "compares_baseline", False):
+                found = checker(metrics, baseline_metrics)
+            else:
+                found = checker(metrics)
+            failures.extend(f"{name}: {failure}" for failure in found)
 
     failures.extend(check_metrics_shape(args.run_dir, current))
 

@@ -57,7 +57,7 @@ struct ReductionStats {
 /// exactly: node ids ascend, each node's out-edges ascend by edge id, and
 /// a spliced edge takes the next id. Callers fill it (LoadQueryGraph, or
 /// canonicalization straight from a CSR footprint), run ReduceFlatGraph,
-/// and read the survivors back. Clear() keeps capacity, so one instance
+/// and read the survivors back; exact factoring conditions on it too. Clear() keeps capacity, so one instance
 /// serves as reusable per-thread scratch.
 struct FlatReductionGraph {
   /// Node roles; any nonzero role protects the node from deletion and

@@ -43,83 +43,182 @@ bool Reaches(const ProbabilisticEntityGraph& graph, NodeId start,
   return false;
 }
 
-struct FactoringContext {
-  int64_t calls = 0;
-  int64_t max_calls = 0;
-  bool use_reductions = false;
-  bool budget_exceeded = false;
+/// The factoring recursion of one ExactReliabilityFactoring call, on
+/// flat graphs. levels_[d] holds the graph at recursion depth d; a call
+/// writes each child world into levels_[d + 1], so the parent's graph
+/// survives its first child for the second. Levels are addressed by
+/// depth, never by a reference held across a child's growth. The marks,
+/// the DFS stack and the compaction map are shared by all depths: each is
+/// used only between two recursive steps. Once every level has grown to
+/// its size, a conditioning call allocates nothing.
+class FlatFactoring {
+ public:
+  /// Loads the reified single-target graph as depth 0; only its source
+  /// and its one answer carry roles.
+  FlatFactoring(const QueryGraph& reified, const FactoringOptions& options)
+      : max_calls_(options.max_calls),
+        use_reductions_(options.use_reductions),
+        levels_(1) {
+    Level& root = levels_[0];
+    LoadQueryGraph(reified, root.graph);
+    for (size_t x = 0; x < root.graph.nodes.size(); ++x) {
+      const uint8_t role = root.graph.nodes[x].role;
+      if (role & FlatReductionGraph::kRoleSource) {
+        root.source = static_cast<int32_t>(x);
+      }
+      if (role & FlatReductionGraph::kRoleTarget) {
+        root.target = static_cast<int32_t>(x);
+      }
+    }
+    // Conditioning and the rules never add nodes, so depth 0 sizes the
+    // per-node scratch of every depth.
+    mark_.assign(root.graph.nodes.size(), 0);
+    remap_.assign(root.graph.nodes.size(), FlatReductionGraph::kNone);
+  }
+
+  /// Reliability of the graph at `depth`, conditioning recursively.
+  double Factor(size_t depth) {
+    if (budget_exceeded_) return 0.0;
+    if (calls_ >= max_calls_) {
+      budget_exceeded_ = true;
+      return 0.0;
+    }
+    ++calls_;
+    Level& level = levels_[depth];
+    FlatReductionGraph& graph = level.graph;
+    if (use_reductions_) ReduceFlatGraph(graph);
+
+    // Pruning 1: unreachable even if every uncertain edge were present.
+    if (!Reaches(level, [](double q) { return q > 0.0; })) return 0.0;
+    // Pruning 2: reachable through certain edges alone.
+    if (Reaches(level, [](double q) { return q >= 1.0; })) return 1.0;
+
+    const int32_t pivot = PickPivot(level);
+    if (pivot == FlatReductionGraph::kNone) return 0.0;  // See PickPivot.
+    const double q = graph.edges[static_cast<size_t>(pivot)].q;
+
+    if (levels_.size() == depth + 1) levels_.emplace_back();
+    Condition(depth, pivot, /*present=*/true);
+    const double r_present = Factor(depth + 1);
+    Condition(depth, pivot, /*present=*/false);
+    const double r_absent = Factor(depth + 1);
+    return q * r_present + (1.0 - q) * r_absent;
+  }
+
+  int64_t calls() const { return calls_; }
+  bool budget_exceeded() const { return budget_exceeded_; }
+
+ private:
+  struct Level {
+    FlatReductionGraph graph;
+    int32_t source = FlatReductionGraph::kNone;
+    int32_t target = FlatReductionGraph::kNone;
+  };
+
+  uint32_t NextEpoch() {
+    if (++epoch_ == 0) {  // Wrapped: no stale stamp may equal a new epoch.
+      std::fill(mark_.begin(), mark_.end(), 0);
+      epoch_ = 1;
+    }
+    return epoch_;
+  }
+
+  /// Whether the target is reachable from the source over alive edges
+  /// whose probability passes `edge_ok`.
+  template <typename EdgeOk>
+  bool Reaches(const Level& level, EdgeOk&& edge_ok) {
+    if (level.source == level.target) return true;
+    const FlatReductionGraph& g = level.graph;
+    const uint32_t epoch = NextEpoch();
+    stack_.clear();
+    stack_.push_back(level.source);
+    mark_[static_cast<size_t>(level.source)] = epoch;
+    while (!stack_.empty()) {
+      const int32_t x = stack_.back();
+      stack_.pop_back();
+      for (int32_t e = g.nodes[static_cast<size_t>(x)].out_head;
+           e != FlatReductionGraph::kNone;
+           e = g.edges[static_cast<size_t>(e)].out_next) {
+        const FlatReductionGraph::Edge& edge = g.edges[static_cast<size_t>(e)];
+        if (!edge.alive || !edge_ok(edge.q)) continue;
+        if (edge.to == level.target) return true;
+        if (mark_[static_cast<size_t>(edge.to)] == epoch) continue;
+        mark_[static_cast<size_t>(edge.to)] = epoch;
+        stack_.push_back(edge.to);
+      }
+    }
+    return false;
+  }
+
+  /// The edge to condition on: the first uncertain edge a DFS from the
+  /// source meets (it lies in the reachable region, keeping branches
+  /// meaningful), crossing only certain edges. After the two prunings the
+  /// DFS always finds one: the target is reachable over edges with
+  /// q > 0 but not over certain ones, so every such path leaves the
+  /// source's certain region through an uncertain edge of a node the DFS
+  /// visits. (The pointer recursion's fallback scan of all edges by id
+  /// was therefore never taken, and is gone.)
+  int32_t PickPivot(const Level& level) {
+    const FlatReductionGraph& g = level.graph;
+    const uint32_t epoch = NextEpoch();
+    stack_.clear();
+    stack_.push_back(level.source);
+    mark_[static_cast<size_t>(level.source)] = epoch;
+    while (!stack_.empty()) {
+      const int32_t x = stack_.back();
+      stack_.pop_back();
+      for (int32_t e = g.nodes[static_cast<size_t>(x)].out_head;
+           e != FlatReductionGraph::kNone;
+           e = g.edges[static_cast<size_t>(e)].out_next) {
+        const FlatReductionGraph::Edge& edge = g.edges[static_cast<size_t>(e)];
+        if (!edge.alive) continue;
+        if (IsUncertain(edge.q)) return e;
+        if (edge.q > 0.0 && mark_[static_cast<size_t>(edge.to)] != epoch) {
+          mark_[static_cast<size_t>(edge.to)] = epoch;
+          stack_.push_back(edge.to);
+        }
+      }
+    }
+    return FlatReductionGraph::kNone;
+  }
+
+  /// Writes one world of conditioning on `pivot` into levels_[depth + 1]:
+  /// the alive part of levels_[depth], compacted with relative node and
+  /// edge order kept, the pivot certain (`present`) or gone.
+  void Condition(size_t depth, int32_t pivot, bool present) {
+    const Level& parent = levels_[depth];
+    Level& child = levels_[depth + 1];
+    const FlatReductionGraph& from = parent.graph;
+    FlatReductionGraph& to = child.graph;
+    to.Clear();
+    for (size_t x = 0; x < from.nodes.size(); ++x) {
+      const FlatReductionGraph::Node& node = from.nodes[x];
+      remap_[x] = node.alive ? to.AddNode(node.p, node.role)
+                             : FlatReductionGraph::kNone;
+    }
+    for (size_t e = 0; e < from.edges.size(); ++e) {
+      const FlatReductionGraph::Edge& edge = from.edges[e];
+      if (!edge.alive) continue;
+      const bool is_pivot = static_cast<int32_t>(e) == pivot;
+      if (is_pivot && !present) continue;
+      to.AddEdge(remap_[static_cast<size_t>(edge.from)],
+                 remap_[static_cast<size_t>(edge.to)],
+                 is_pivot ? 1.0 : edge.q);
+    }
+    child.source = remap_[static_cast<size_t>(parent.source)];
+    child.target = remap_[static_cast<size_t>(parent.target)];
+  }
+
+  const int64_t max_calls_;
+  const bool use_reductions_;
+  int64_t calls_ = 0;
+  bool budget_exceeded_ = false;
+  std::vector<Level> levels_;
+  std::vector<uint32_t> mark_;
+  uint32_t epoch_ = 0;
+  std::vector<int32_t> stack_;
+  std::vector<int32_t> remap_;
 };
-
-/// Recursive edge-conditioning on a reified (edge-failures-only) graph.
-double FactorRec(QueryGraph query_graph, FactoringContext& ctx) {
-  if (ctx.budget_exceeded) return 0.0;
-  if (++ctx.calls > ctx.max_calls) {
-    ctx.budget_exceeded = true;
-    return 0.0;
-  }
-  ProbabilisticEntityGraph& graph = query_graph.graph;
-  NodeId s = query_graph.source;
-  NodeId t = query_graph.answers[0];
-
-  if (ctx.use_reductions) {
-    ReduceQueryGraph(query_graph);
-  }
-
-  // Pruning 1: unreachable even if every uncertain edge were present.
-  auto any_alive = [&](EdgeId e) { return graph.edge(e).q > 0.0; };
-  auto all_nodes = [&](NodeId) { return true; };
-  if (!Reaches(graph, s, t, all_nodes, any_alive)) return 0.0;
-
-  // Pruning 2: reachable through certain edges alone.
-  auto certain = [&](EdgeId e) { return graph.edge(e).q >= 1.0; };
-  if (Reaches(graph, s, t, all_nodes, certain)) return 1.0;
-
-  // Pick an uncertain edge to condition on: the first uncertain edge found
-  // by a DFS from the source (it is guaranteed to lie in the reachable
-  // region, keeping branches meaningful).
-  EdgeId pivot = -1;
-  {
-    std::vector<bool> visited(graph.node_capacity(), false);
-    std::vector<NodeId> stack = {s};
-    visited[s] = true;
-    while (!stack.empty() && pivot < 0) {
-      NodeId x = stack.back();
-      stack.pop_back();
-      graph.ForEachOutEdge(x, [&](EdgeId e) {
-        if (pivot >= 0) return;
-        const GraphEdge& edge = graph.edge(e);
-        if (IsUncertain(edge.q)) {
-          pivot = e;
-          return;
-        }
-        if (edge.q > 0.0 && !visited[edge.to]) {
-          visited[edge.to] = true;
-          stack.push_back(edge.to);
-        }
-      });
-    }
-  }
-  if (pivot < 0) {
-    // No uncertain edge on the frontier, yet pruning 2 failed: the target
-    // sits behind uncertain edges unreachable via certain ones. Scan all.
-    for (EdgeId e = 0; e < graph.edge_capacity() && pivot < 0; ++e) {
-      if (graph.IsValidEdge(e) && IsUncertain(graph.edge(e).q)) pivot = e;
-    }
-    if (pivot < 0) return 0.0;  // Fully deterministic and not reachable.
-  }
-
-  double q = graph.edge(pivot).q;
-
-  QueryGraph with_edge = query_graph;
-  with_edge.graph.SetEdgeProb(pivot, 1.0);
-  double r_present = FactorRec(std::move(with_edge), ctx);
-
-  QueryGraph without_edge = std::move(query_graph);
-  without_edge.graph.RemoveEdge(pivot);
-  double r_absent = FactorRec(std::move(without_edge), ctx);
-
-  return q * r_present + (1.0 - q) * r_absent;
-}
 
 }  // namespace
 
@@ -181,7 +280,8 @@ Result<double> ExactReliabilityBruteForce(const QueryGraph& query_graph,
 
 Result<double> ExactReliabilityFactoring(const QueryGraph& query_graph,
                                          NodeId target,
-                                         const FactoringOptions& options) {
+                                         const FactoringOptions& options,
+                                         FactoringStats* stats) {
   BIORANK_RETURN_IF_ERROR(query_graph.Validate());
   if (!query_graph.graph.IsValidNode(target)) {
     return Status::InvalidArgument("factoring: invalid target");
@@ -197,11 +297,10 @@ Result<double> ExactReliabilityFactoring(const QueryGraph& query_graph,
   // Remove node failures so the recursion only conditions edges.
   ReifiedGraph reified = ReifyNodeFailures(restricted);
 
-  FactoringContext ctx;
-  ctx.max_calls = options.max_calls;
-  ctx.use_reductions = options.use_reductions;
-  double value = FactorRec(std::move(reified.query_graph), ctx);
-  if (ctx.budget_exceeded) {
+  FlatFactoring factoring(reified.query_graph, options);
+  const double value = factoring.Factor(0);
+  if (stats != nullptr) stats->calls = factoring.calls();
+  if (factoring.budget_exceeded()) {
     return Status::FailedPrecondition(
         "factoring: exceeded max_calls budget (graph too complex)");
   }

@@ -37,6 +37,14 @@ struct FactoringOptions {
   int64_t max_calls = 4'000'000;
 };
 
+/// Work one factoring run did: a deterministic, host-independent counter.
+struct FactoringStats {
+  /// Conditioning calls spent. A run that exhausts its budget reports
+  /// `max_calls` (the whole budget); a successful run reports the count
+  /// it needed, so `max_calls` equal to it succeeds and one less fails.
+  int64_t calls = 0;
+};
+
 /// Exact source-target reliability by the factoring (edge conditioning)
 /// method: pick an uncertain edge e, then
 ///   R = q(e) * R(G with e certain) + (1 - q(e)) * R(G without e),
@@ -44,10 +52,18 @@ struct FactoringOptions {
 /// (target unreachable via any alive edge -> 0; target reachable via
 /// certain edges only -> 1). Node failures are removed first by reifying
 /// the graph. Exact up to floating point; fails with FailedPrecondition on
-/// graphs exceeding `options.max_calls`.
+/// graphs exceeding `options.max_calls`. `stats` (optional) receives the
+/// calls spent, on success and on FailedPrecondition alike.
+///
+/// The recursion runs on per-depth FlatReductionGraph scratch owned by
+/// this call (safe to run concurrently on different threads). Its pivot
+/// is the first uncertain edge a DFS from the source meets, following
+/// out-edges in edge-id order (else the lowest-id uncertain edge), and
+/// each child graph is the parent's alive part compacted in id order.
 Result<double> ExactReliabilityFactoring(const QueryGraph& query_graph,
                                          NodeId target,
-                                         const FactoringOptions& options = {});
+                                         const FactoringOptions& options = {},
+                                         FactoringStats* stats = nullptr);
 
 /// Factoring reliability for every answer node, each computed on its own
 /// query-relevant subgraph. Returns scores indexed like

@@ -306,8 +306,10 @@ Status RankingService::TryResolveExact(UniqueState& u) {
   u.exact_attempted = true;
   FactoringOptions factoring;
   factoring.max_calls = options_.exact_max_calls;
-  Result<double> exact =
-      ExactReliabilityFactoring(graph, u.canonical->target, factoring);
+  FactoringStats factoring_stats;
+  Result<double> exact = ExactReliabilityFactoring(
+      graph, u.canonical->target, factoring, &factoring_stats);
+  u.factoring_calls = factoring_stats.calls;
   if (exact.ok()) {
     u.entry.has_value = true;
     u.entry.value = exact.value();
@@ -478,6 +480,9 @@ Result<TopKResult> RankingService::RankPrepared(
             u.status = st;
             return;
           }
+          if (u.exact_attempted) {
+            span.Counter("factoring_calls", u.factoring_calls);
+          }
           if (u.entry.has_value) {
             span.Counter("exact", 1);
             return;
@@ -500,6 +505,7 @@ Result<TopKResult> RankingService::RankPrepared(
   }
   for (int index : survivors) {
     const UniqueState& u = uniques[static_cast<size_t>(index)];
+    stats.factoring_calls += u.factoring_calls;
     if (u.resolution == Resolution::kExact) {
       ++stats.exact;
     } else {

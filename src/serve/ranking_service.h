@@ -75,6 +75,9 @@ struct RequestStats {
   int exact = 0;            ///< Misses resolved by factoring.
   int monte_carlo = 0;      ///< Misses resolved by Monte Carlo.
   int64_t mc_trials = 0;    ///< Total MC trials spent.
+  /// Conditioning calls exact factoring spent, successful attempts and
+  /// attempts that ran out of budget alike (FactoringStats::calls).
+  int64_t factoring_calls = 0;
 
   void Add(const RequestStats& other) {
     candidates += other.candidates;
@@ -85,6 +88,7 @@ struct RequestStats {
     exact += other.exact;
     monte_carlo += other.monte_carlo;
     mc_trials += other.mc_trials;
+    factoring_calls += other.factoring_calls;
   }
 
   double CacheHitRate() const {
@@ -168,6 +172,7 @@ struct UniqueState {
   CacheEntry entry;
   bool have_bounds = false;
   bool exact_attempted = false;  ///< Factoring tried (pay its budget once).
+  int64_t factoring_calls = 0;   ///< Conditioning calls that attempt spent.
   int64_t trials_spent = 0;      ///< MC trials this caller ran (vs adopted).
   Resolution resolution = Resolution::kPruned;
   Status status;

@@ -95,7 +95,9 @@ Result<Completeness> RefineIncrement(
     }
 
     if (!u.entry.has_value) {
+      const int64_t calls_before = u.factoring_calls;
       BIORANK_RETURN_IF_ERROR(service.TryResolveExact(u));
+      state.stats.factoring_calls += u.factoring_calls - calls_before;
     }
     if (!u.entry.has_value) {
       const int64_t spent_before = u.trials_spent;

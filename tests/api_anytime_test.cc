@@ -168,6 +168,36 @@ TEST(ApiAnytimeTest, RefinedRankingIsBitIdenticalToBlockingAtAnyThreadCount) {
   }
 }
 
+TEST(ApiAnytimeTest, RefinementCountsTheFactoringCallsBlockingSpends) {
+  // Factoring on, cache off: the anytime increments attempt factoring on
+  // the same survivors the blocking pipeline does, once each, so the
+  // accumulated count equals the blocking request's.
+  ServerOptions options;
+  options.ranking.num_threads = 1;
+  options.ranking.enable_cache = false;
+  Server blocking(options);
+  Server anytime(options);
+  int64_t total_calls = 0;
+  for (uint64_t seed : {11, 23, 37}) {
+    QueryGraph graph = McGraph(seed);
+    Result<QueryResponse> reference =
+        blocking.RankGraph(graph, BlockingOptions(5));
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    Result<QueryResponse> first = anytime.RankGraph(graph, AnytimeOptions(5));
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_EQ(first.value().stats.factoring_calls, 0);
+    QueryResponse final_response =
+        RefineToConvergence(anytime, std::move(first).value(), 1024);
+    EXPECT_EQ(RankingFingerprint(final_response),
+              RankingFingerprint(reference.value()));
+    EXPECT_EQ(final_response.stats.factoring_calls,
+              reference.value().stats.factoring_calls)
+        << "seed " << seed;
+    total_calls += reference.value().stats.factoring_calls;
+  }
+  EXPECT_GT(total_calls, 0) << "the workload never factored";
+}
+
 TEST(ApiAnytimeTest, RefineWithoutBudgetFinishesTheJob) {
   Server server(McForcedOptions(1, true));
   Server blocking(McForcedOptions(1, true));

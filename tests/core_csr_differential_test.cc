@@ -15,6 +15,7 @@
 #include "core/canonical.h"
 #include "core/query_graph.h"
 #include "core/reduction.h"
+#include "core/reliability_exact.h"
 #include "testing/differential.h"
 #include "testing/random_graphs.h"
 #include "util/rng.h"
@@ -23,6 +24,7 @@ namespace biorank {
 namespace {
 
 using testing::CompareDiffusionBackends;
+using testing::CompareFactoringWithReference;
 using testing::CompareMcBackends;
 using testing::CompareCanonicalizationWithReference;
 using testing::CompareReductionWithReference;
@@ -164,6 +166,107 @@ TEST(CsrDifferentialTest, ReductionAdapterIdentical) {
     DiffResult r = CompareReductionWithReference(query, options);
     EXPECT_TRUE(r.ok) << "round " << round << ": " << r.message;
   }
+}
+
+/// A layered DAG of the open-loop serving workload's shape: a source,
+/// three layers of six nodes, twelve answers, layer-to-layer edges at
+/// density 0.45, skip edges at 0.15, and one guaranteed in-edge per
+/// node. Its per-answer residues are the irreducible ones exact
+/// factoring meets in serving.
+QueryGraph MakeServingShapedDag(Rng& rng) {
+  QueryGraphBuilder builder;
+  std::vector<std::vector<NodeId>> layers = {{builder.Source()}};
+  for (int layer = 0; layer < 3; ++layer) {
+    std::vector<NodeId> current;
+    for (int i = 0; i < 6; ++i) {
+      current.push_back(builder.Node(rng.NextUniform(0.3, 1.0)));
+    }
+    layers.push_back(current);
+  }
+  std::vector<NodeId> answers;
+  for (int i = 0; i < 12; ++i) {
+    answers.push_back(builder.Node(rng.NextUniform(0.3, 1.0)));
+  }
+  layers.push_back(answers);
+  for (size_t layer = 0; layer + 1 < layers.size(); ++layer) {
+    for (NodeId from : layers[layer]) {
+      for (NodeId to : layers[layer + 1]) {
+        if (rng.NextBernoulli(0.45)) {
+          builder.Edge(from, to, rng.NextUniform(0.2, 1.0));
+        }
+      }
+      for (size_t skip = layer + 2; skip < layers.size(); ++skip) {
+        for (NodeId to : layers[skip]) {
+          if (rng.NextBernoulli(0.15)) {
+            builder.Edge(from, to, rng.NextUniform(0.2, 1.0));
+          }
+        }
+      }
+    }
+  }
+  for (size_t layer = 1; layer < layers.size(); ++layer) {
+    for (NodeId to : layers[layer]) {
+      const std::vector<NodeId>& prev = layers[layer - 1];
+      builder.Edge(prev[static_cast<size_t>(rng.NextBounded(prev.size()))],
+                   to, rng.NextUniform(0.2, 1.0));
+    }
+  }
+  return std::move(builder).Build(answers);
+}
+
+TEST(CsrDifferentialTest, FactoringIdenticalToReference) {
+  // The flat factoring recursion vs the pointer reference: value bits,
+  // call counts, and the exact budget edge, with the reductions on and
+  // off, over the harness's graphs. Budgets keep the no-reduction runs
+  // (exponential on the larger digraphs) short; a blown budget must blow
+  // identically.
+  Rng rng(1979);
+  for (int round = 0; round < 206; ++round) {
+    const QueryGraph query = GraphForRound(rng, round);
+    for (bool reductions : {true, false}) {
+      FactoringOptions options;
+      options.use_reductions = reductions;
+      options.max_calls = reductions ? 250 : 100;
+      DiffResult r = CompareFactoringWithReference(query, options);
+      EXPECT_TRUE(r.ok) << "round " << round << " reductions " << reductions
+                        << ": " << r.message;
+    }
+  }
+}
+
+TEST(CsrDifferentialTest, FactoringIdenticalOnServingShapedDags) {
+  // The serving workload's residues. At small budgets nearly every
+  // answer exhausts the budget, with the reductions on or off, and must
+  // do so exactly as the reference does. The answers that factor within
+  // 10,000 calls are then compared at that budget: deep recursions whose
+  // every value bit and call must match.
+  Rng rng(2009);
+  int64_t deepest = 0;
+  for (int round = 0; round < 3; ++round) {
+    const QueryGraph query = MakeServingShapedDag(rng);
+    for (bool reductions : {true, false}) {
+      FactoringOptions options;
+      options.use_reductions = reductions;
+      options.max_calls = reductions ? 500 : 100;
+      DiffResult r = CompareFactoringWithReference(query, options);
+      EXPECT_TRUE(r.ok) << "round " << round << " reductions " << reductions
+                        << ": " << r.message;
+    }
+    FactoringOptions deep;
+    deep.max_calls = 10000;
+    for (NodeId target : query.answers) {
+      FactoringStats stats;
+      if (!ExactReliabilityFactoring(query, target, deep, &stats).ok()) {
+        continue;
+      }
+      deepest = std::max(deepest, stats.calls);
+      QueryGraph single = query;
+      single.answers = {target};
+      DiffResult r = CompareFactoringWithReference(single, deep);
+      EXPECT_TRUE(r.ok) << "round " << round << ": " << r.message;
+    }
+  }
+  EXPECT_GT(deepest, 1000) << "no deep factoring was compared";
 }
 
 TEST(CsrDifferentialTest, ShardGranularityInvariance) {

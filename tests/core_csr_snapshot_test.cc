@@ -271,7 +271,8 @@ TEST(CsrSnapshotTest, KeptMaskMatchesInducedSubgraph) {
 
     // The mask itself round-trips through the flat BFS variant.
     CsrSnapshot full = BuildCsrSnapshot(query.graph);
-    EXPECT_EQ(QueryRelevantMask(full, query.source, query.answers), kept);
+    EXPECT_EQ(testing::QueryRelevantMask(full, query.source, query.answers),
+              kept);
   }
 }
 

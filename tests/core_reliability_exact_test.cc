@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/query_graph.h"
+#include "testing/differential.h"
+#include "testing/reference_factoring.h"
 
 namespace biorank {
 namespace {
@@ -187,6 +191,92 @@ TEST(FactoringTest, DoubleBridgeMatchesBruteForce) {
   ASSERT_TRUE(brute.ok());
   ASSERT_TRUE(factored.ok());
   EXPECT_NEAR(brute.value(), factored.value(), 1e-12);
+}
+
+/// Factors `g` for `t` with the reductions on and off and checks each
+/// run against brute force (value) and the pointer reference (value bits
+/// and call count).
+void ExpectMatchesReferenceAndBruteForce(const QueryGraph& g, NodeId t) {
+  Result<double> brute = ExactReliabilityBruteForce(g, t);
+  ASSERT_TRUE(brute.ok()) << brute.status();
+  for (bool reductions : {true, false}) {
+    FactoringOptions options;
+    options.use_reductions = reductions;
+    FactoringStats stats;
+    Result<double> got = ExactReliabilityFactoring(g, t, options, &stats);
+    int64_t ref_calls = -1;
+    Result<double> ref =
+        testing::ReferenceFactoring(g, t, options, &ref_calls);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(ref.ok()) << ref.status();
+    EXPECT_NEAR(got.value(), brute.value(), 1e-12) << reductions;
+    EXPECT_TRUE(testing::ScoresBitIdentical({got.value()}, {ref.value()}))
+        << got.value() << " vs " << ref.value() << ", reductions "
+        << reductions;
+    EXPECT_EQ(stats.calls, ref_calls) << reductions;
+  }
+}
+
+TEST(FactoringTest, PivotBehindCertainDeadEnds) {
+  // The source's certain region is a chain with a dead end (b) and
+  // zero-probability exits; the target sits behind uncertain edges only.
+  // The pivot DFS must walk the certain chain and take the first
+  // uncertain edge it meets in out-edge order.
+  QueryGraphBuilder b;
+  NodeId s = b.Source();
+  NodeId a = b.Node(1.0), dead = b.Node(1.0), c = b.Node(1.0);
+  NodeId d = b.Node(1.0), t = b.Node(1.0);
+  b.Edge(s, a, 1.0);
+  b.Edge(a, dead, 1.0);
+  b.Edge(dead, t, 0.0);
+  b.Edge(s, c, 1.0);
+  b.Edge(c, t, 0.0);
+  b.Edge(c, d, 0.5);
+  b.Edge(d, t, 0.6);
+  b.Edge(a, t, 0.4);
+  b.Edge(a, d, 0.3);
+  QueryGraph g = std::move(b).Build({t});
+  ExpectMatchesReferenceAndBruteForce(g, t);
+}
+
+TEST(FactoringTest, ZeroProbabilityPivotNeighbour) {
+  // x is never present (p = 0, a q = 0 edge after reification) and sits
+  // next to the pivot candidates; a q = 0 edge also joins source and
+  // target directly. Neither may be crossed or conditioned on.
+  QueryGraphBuilder b;
+  NodeId s = b.Source();
+  NodeId x = b.Node(0.0), y = b.Node(0.8), t = b.Node(0.9);
+  b.Edge(s, x, 0.5);
+  b.Edge(x, t, 0.9);
+  b.Edge(s, y, 0.7);
+  b.Edge(y, x, 0.6);
+  b.Edge(y, t, 0.3);
+  b.Edge(s, t, 0.0);
+  b.Edge(x, y, 0.4);
+  QueryGraph g = std::move(b).Build({t});
+  ExpectMatchesReferenceAndBruteForce(g, t);
+}
+
+TEST(FactoringTest, SourceIsItsOwnTarget) {
+  // A certain source reaches itself in one call; an uncertain one splits
+  // into in/out sides under reification and conditions once on p(s).
+  QueryGraphBuilder b;
+  NodeId t = b.Node(0.9, "t");
+  b.Edge(b.Source(), t, 0.5);
+  QueryGraph g = std::move(b).Build({t});
+  FactoringStats stats;
+  Result<double> r = ExactReliabilityFactoring(g, g.source, {}, &stats);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r.value(), 1.0);
+  EXPECT_EQ(stats.calls, 1);
+  ExpectMatchesReferenceAndBruteForce(g, g.source);
+
+  ASSERT_TRUE(g.graph.SetNodeProb(g.source, 0.75).ok());
+  r = ExactReliabilityFactoring(g, g.source, {}, &stats);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r.value(), 0.75);
+  EXPECT_EQ(stats.calls, 3);
+  ExpectMatchesReferenceAndBruteForce(g, g.source);
 }
 
 }  // namespace

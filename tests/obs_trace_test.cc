@@ -235,6 +235,50 @@ TEST(ObsTracingIntegrationTest, CanonicalizeSpanCountsTheRestrictionWork) {
   EXPECT_EQ(found, 1);
 }
 
+TEST(ObsTracingIntegrationTest, ResolveSpansCountTheFactoringCalls) {
+  // Factoring on and the cache off, so the traced and untraced requests
+  // both factor every small residue: the per-survivor spans' calls must
+  // sum to RequestStats::factoring_calls, which is the same either way.
+  api::ServerOptions options;
+  options.ranking.enable_cache = false;
+  api::Server server(options);
+  Rng rng(1009);
+  testing::RandomDagOptions dag;
+  dag.layers = 3;
+  dag.nodes_per_layer = 4;
+  dag.answers = 6;
+  dag.edge_density = 0.6;
+  int64_t total_calls = 0;
+  for (int round = 0; round < 4; ++round) {
+    const QueryGraph graph = testing::MakeRandomLayeredDag(rng, dag);
+    api::QueryOptions untraced;
+    untraced.top_k = 3;
+    api::Result<api::QueryResponse> plain = server.RankGraph(graph, untraced);
+    ASSERT_TRUE(plain.ok()) << plain.status();
+    obs::Trace trace(round);
+    api::QueryOptions traced = untraced;
+    traced.trace = &trace;
+    api::Result<api::QueryResponse> with = server.RankGraph(graph, traced);
+    ASSERT_TRUE(with.ok()) << with.status();
+    EXPECT_EQ(api::RankingFingerprint(plain.value()),
+              api::RankingFingerprint(with.value()));
+    EXPECT_EQ(plain.value().stats.factoring_calls,
+              with.value().stats.factoring_calls);
+
+    int64_t span_calls = 0;
+    for (const obs::Span& span : trace.Spans()) {
+      if (span.name != "serve.mc_shards") continue;
+      for (const auto& [name, value] : span.counters) {
+        if (name == "factoring_calls") span_calls += value;
+      }
+    }
+    EXPECT_EQ(span_calls, with.value().stats.factoring_calls)
+        << "round " << round;
+    total_calls += span_calls;
+  }
+  EXPECT_GT(total_calls, 0) << "the workload never factored";
+}
+
 TEST(ObsTracingIntegrationTest, SlowQueryCaptureHasNestedSpanTree) {
   api::Server& server = TracedServer();
   // A fresh irreducible graph (not in the cache yet) so the capture

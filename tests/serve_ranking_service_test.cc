@@ -360,5 +360,67 @@ TEST(RankingServiceTest, ConcurrentCallersOwnTheirScratch) {
   }
 }
 
+TEST(RankingServiceTest, ConcurrentFactoringOwnsItsScratch) {
+  // Factoring scratch belongs to each ExactReliabilityFactoring call:
+  // two external threads rank different irreducible graphs through one
+  // pooled, cache-off service at once (so every request factors again,
+  // on pool threads too), and every result and factoring call count
+  // must equal an inline single-thread reference.
+  Rng rng(2718);
+  RandomDagOptions dag;
+  dag.layers = 3;
+  dag.nodes_per_layer = 4;
+  dag.answers = 6;
+  dag.edge_density = 0.6;
+  std::vector<QueryGraph> graphs[2];
+  for (int i = 0; i < 8; ++i) {
+    graphs[i % 2].push_back(MakeRandomLayeredDag(rng, dag));
+  }
+  graphs[0].push_back(MakeFig4bWheatstoneBridge());
+
+  RankingServiceOptions reference_options;
+  reference_options.enable_cache = false;
+  reference_options.num_threads = 1;
+  RankingService reference(reference_options);
+  std::vector<TopKResult> want[2];
+  int64_t reference_calls = 0;
+  for (int side = 0; side < 2; ++side) {
+    for (const QueryGraph& g : graphs[side]) {
+      Result<TopKResult> r = reference.RankTopK(g, 3);
+      ASSERT_TRUE(r.ok()) << r.status();
+      reference_calls += r.value().stats.factoring_calls;
+      want[side].push_back(r.value());
+    }
+  }
+  ASSERT_GT(reference_calls, 0) << "the workload never factored";
+
+  ThreadPool pool(3);
+  RankingServiceOptions pooled_options;
+  pooled_options.enable_cache = false;
+  pooled_options.num_threads = 4;
+  pooled_options.pool = &pool;
+  RankingService pooled(pooled_options);
+  int mismatches[2] = {0, 0};
+  auto run = [&](int side) {
+    for (int rep = 0; rep < 3; ++rep) {
+      for (size_t i = 0; i < graphs[side].size(); ++i) {
+        Result<TopKResult> r = pooled.RankTopK(graphs[side][i], 3);
+        if (!r.ok() ||
+            Flatten(r.value()) != Flatten(want[side][i]) ||
+            r.value().stats.factoring_calls !=
+                want[side][i].stats.factoring_calls) {
+          ++mismatches[side];
+        }
+      }
+    }
+  };
+  std::thread a(run, 0);
+  std::thread b(run, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
+}
+
 }  // namespace
 }  // namespace biorank::serve

@@ -8,6 +8,7 @@
 #include "core/graph_algo.h"
 #include "core/reduction.h"
 #include "testing/reference_canonical.h"
+#include "testing/reference_factoring.h"
 
 namespace biorank::testing {
 
@@ -275,6 +276,54 @@ DiffResult CompareReductionWithReference(const QueryGraph& query_graph,
     if (a.IsValidEdge(e) != b.IsValidEdge(e) || ea.from != eb.from ||
         ea.to != eb.to || Bits(ea.q) != Bits(eb.q)) {
       return Fail("edge " + std::to_string(e) + " diverges");
+    }
+  }
+  return {};
+}
+
+DiffResult CompareFactoringWithReference(const QueryGraph& query_graph,
+                                         const FactoringOptions& options) {
+  for (const NodeId target : query_graph.answers) {
+    const std::string where = " for target " + std::to_string(target);
+    int64_t ref_calls = -1;
+    Result<double> ref =
+        ReferenceFactoring(query_graph, target, options, &ref_calls);
+    FactoringStats stats;
+    Result<double> got =
+        ExactReliabilityFactoring(query_graph, target, options, &stats);
+    if (ref.status().code() != got.status().code()) {
+      return Fail("status " + got.status().ToString() + " vs reference " +
+                  ref.status().ToString() + where);
+    }
+    if (stats.calls != ref_calls) {
+      return Fail("calls " + std::to_string(stats.calls) + " vs reference " +
+                  std::to_string(ref_calls) + where);
+    }
+    if (!ref.ok()) continue;
+    if (!ScoresBitIdentical({got.value()}, {ref.value()})) {
+      return Fail("value " +
+                  DescribeFirstDivergence({got.value()}, {ref.value()}) +
+                  where);
+    }
+
+    // The budget is exact: the reference's count suffices, one less not.
+    FactoringOptions tight = options;
+    tight.max_calls = ref_calls;
+    FactoringStats tight_stats;
+    Result<double> at_budget =
+        ExactReliabilityFactoring(query_graph, target, tight, &tight_stats);
+    if (!at_budget.ok() || tight_stats.calls != ref_calls ||
+        !ScoresBitIdentical({at_budget.value()}, {ref.value()})) {
+      return Fail("max_calls = " + std::to_string(ref_calls) +
+                  " does not reproduce the reference" + where);
+    }
+    tight.max_calls = ref_calls - 1;
+    Result<double> under_budget =
+        ExactReliabilityFactoring(query_graph, target, tight, &tight_stats);
+    if (under_budget.status().code() != StatusCode::kFailedPrecondition ||
+        tight_stats.calls != ref_calls - 1) {
+      return Fail("max_calls = " + std::to_string(ref_calls - 1) +
+                  " does not fail with the budget spent" + where);
     }
   }
   return {};

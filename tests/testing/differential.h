@@ -15,6 +15,7 @@
 #include "core/diffusion.h"
 #include "core/query_graph.h"
 #include "core/reduction.h"
+#include "core/reliability_exact.h"
 #include "core/reliability_mc.h"
 #include "core/topk_mc.h"
 
@@ -57,8 +58,9 @@ DiffResult CompareDiffusionBackends(const QueryGraph& query_graph,
 /// across answers) and through one-shot CanonicalizeCandidate — and on
 /// the pointer reference (testing/reference_canonical.h). Keys (repr and
 /// hash), canonical graphs (CSR byte equality), targets, every
-/// ReductionStats field, and provenance must match exactly, and
-/// QueryRelevantMask must equal the reference's kept mask.
+/// ReductionStats field, and provenance must match exactly, and the CSR
+/// QueryRelevantMask (testing/reference_canonical.h) must equal the
+/// reference's kept mask.
 DiffResult CompareCanonicalizationWithReference(
     const QueryGraph& query_graph, const CanonicalizeOptions& options);
 
@@ -68,6 +70,15 @@ DiffResult CompareCanonicalizationWithReference(
 /// p/q bit patterns.
 DiffResult CompareReductionWithReference(const QueryGraph& query_graph,
                                          const ReductionOptions& options);
+
+/// Runs ExactReliabilityFactoring (the flat recursion) and the pointer
+/// reference (testing/reference_factoring.h) for every answer of
+/// `query_graph` under `options`. Statuses, call counts and value bits
+/// must match. Where the reference succeeds, production must also
+/// succeed with `max_calls` set to exactly the reference's call count
+/// (same bits) and fail with FailedPrecondition at one less.
+DiffResult CompareFactoringWithReference(const QueryGraph& query_graph,
+                                         const FactoringOptions& options);
 
 }  // namespace biorank::testing
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/canonical.h"
+#include "core/csr_snapshot.h"
 #include "core/query_graph.h"
 #include "core/reduction.h"
 #include "util/status.h"
@@ -33,6 +34,15 @@ ReductionStats ReferenceReduceQueryGraph(QueryGraph& query_graph,
 Result<CanonicalCandidate> ReferenceCanonicalizeCandidate(
     const QueryGraph& query_graph, NodeId target,
     const CanonicalizeOptions& options = {});
+
+/// Membership mask (indexed by original NodeId) of the query-relevant
+/// subgraph: Reach(source) ∩ ∪_t CoReach(t), plus the source and every
+/// valid answer — computed by forward/backward BFS over a CSR snapshot's
+/// flat arrays. `csr` must be an unmasked snapshot of the graph the ids
+/// refer to. A second derivation of ReferenceRestrict's kept mask, on the
+/// other substrate: the two must agree bit for bit.
+std::vector<bool> QueryRelevantMask(const CsrSnapshot& csr, NodeId source,
+                                    const std::vector<NodeId>& answers);
 
 }  // namespace biorank::testing
 
