@@ -1,9 +1,13 @@
 // Reproduces the Section 4 "Efficiency" text claims:
 //  - the reduction rules shrink the 20 scenario-1 query graphs by ~78%
 //    (nodes + edges);
-//  - the traversal Monte Carlo simulation (Algorithm 3.1) is ~3.4x faster
-//    than the naive simulate-everything variant;
-//  - reduction plus traversal MC is ~13.4x faster than naive MC.
+//  - reduction speeds up the traversal Monte Carlo simulation
+//    (Algorithm 3.1).
+// The paper's third variant, the naive simulate-everything sampler, is
+// gone: the word-parallel kernel (64 trials per machine word, coins drawn
+// only for the lanes that reach an element) subsumed it, and is timed
+// against traversal in its place. The paper's naive-relative ratios
+// (traversal 3.4x, reduction + traversal 13.4x) are no longer measured.
 
 #include <chrono>
 #include <iostream>
@@ -28,8 +32,8 @@ double TimeMcMs(const QueryGraph& graph, McOptions::Mode mode,
   options.mode = mode;
   options.trials = trials;
   options.seed = seed;
-  // Single-threaded on purpose: this compares the *algorithms* (naive vs
-  // traversal vs reduced), not the parallel engine; see
+  // Single-threaded on purpose: this compares the *algorithms*
+  // (traversal vs word-parallel vs reduced), not the parallel engine; see
   // bench_parallel_scaling for thread scaling.
   options.num_threads = 1;
   auto start = std::chrono::steady_clock::now();
@@ -86,41 +90,42 @@ int main() {
   std::cout << "\nPaper: graphs average 520 nodes / 695 edges; reductions "
                "remove 78% of elements.\n\n";
 
-  // MC speedups, averaged over the 20 graphs (1000 trials each).
-  std::vector<double> naive_ms, traversal_ms, reduced_traversal_ms;
+  // MC timings, averaged over the 20 graphs (1000 trials each).
+  std::vector<double> word_ms, traversal_ms, reduced_traversal_ms;
   uint64_t seed = 0;
   for (size_t i = 0; i < queries.value().size(); ++i) {
     const QueryGraph& graph = queries.value()[i].graph;
-    naive_ms.push_back(
-        TimeMcMs(graph, McOptions::Mode::kNaive, 1000, seed++));
+    word_ms.push_back(
+        TimeMcMs(graph, McOptions::Mode::kWordParallel, 1000, seed++));
     traversal_ms.push_back(
         TimeMcMs(graph, McOptions::Mode::kTraversal, 1000, seed++));
     reduced_traversal_ms.push_back(TimeMcMs(
         reduced_graphs[i], McOptions::Mode::kTraversal, 1000, seed++));
   }
-  double naive = Mean(naive_ms);
+  double word = Mean(word_ms);
   double traversal = Mean(traversal_ms);
   double reduced_traversal = Mean(reduced_traversal_ms);
 
-  TextTable timing({"Variant", "Mean ms / graph", "Speedup vs naive"});
-  timing.AddRow({"naive MC (all coins)", FormatDouble(naive, 2), "1.0x"});
+  TextTable timing({"Variant", "Mean ms / graph", "Speedup vs traversal"});
   timing.AddRow({"traversal MC (Algorithm 3.1)", FormatDouble(traversal, 2),
-                 FormatDouble(naive / traversal, 1) + "x"});
+                 "1.0x"});
   timing.AddRow({"reduction + traversal MC",
                  FormatDouble(reduced_traversal, 2),
-                 FormatDouble(naive / reduced_traversal, 1) + "x"});
+                 FormatDouble(traversal / reduced_traversal, 1) + "x"});
+  timing.AddRow({"word-parallel MC (64 trials / word)", FormatDouble(word, 2),
+                 FormatDouble(traversal / word, 1) + "x"});
   timing.Print(std::cout);
-  std::cout << "\nPaper: traversal 3.4x (-70%), reduction + traversal "
-               "13.4x (-93%).\n";
+  std::cout << "\nPaper: reduction + traversal is 13.4x / 3.4x = ~3.9x "
+               "faster than traversal alone.\n";
   bench::MaybeWriteCsv(csv, "reduction_stats");
   report.SetWallTime(total_timer.Seconds());
   report.SetThreads(1);
   report.SetMetric("mean_removed_fraction", Mean(removed));
-  report.SetMetric("naive_ms_per_graph", naive);
+  report.SetMetric("word_parallel_ms_per_graph", word);
   report.SetMetric("traversal_ms_per_graph", traversal);
   report.SetMetric("reduced_traversal_ms_per_graph", reduced_traversal);
-  report.SetMetric("traversal_speedup_vs_naive", naive / traversal);
-  report.SetMetric("reduced_traversal_speedup_vs_naive",
-                   naive / reduced_traversal);
+  report.SetMetric("word_parallel_speedup_vs_traversal", traversal / word);
+  report.SetMetric("reduced_traversal_speedup_vs_traversal",
+                   traversal / reduced_traversal);
   return report.Write().ok() ? 0 : 1;
 }

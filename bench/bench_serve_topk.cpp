@@ -153,6 +153,7 @@ int main() {
   int irreducible_exact = 0;
   int irreducible_mc = 0;
   int64_t factoring_calls = 0;
+  int64_t mc_words = 0;
   for (int i = 0; i < 6; ++i) {
     QueryGraph bridge = MakeBridge(0.30 + 0.05 * i);
     api::Result<api::QueryResponse> by_factoring =
@@ -166,6 +167,7 @@ int main() {
     irreducible_exact += by_factoring.value().stats.exact;
     factoring_calls += by_factoring.value().stats.factoring_calls;
     irreducible_mc += by_mc.value().stats.monte_carlo;
+    mc_words += by_mc.value().stats.mc_words;
     if (api::RankingFingerprint(by_mc.value()) != api::RankingFingerprint(by_mc_ref.value())) {
       deterministic = false;
     }
@@ -174,7 +176,7 @@ int main() {
   std::cout << "\nIrreducible residues: " << irreducible_exact
             << " factoring and " << irreducible_mc
             << " MC resolutions exercised (" << factoring_calls
-            << " factoring calls).\n";
+            << " factoring calls, " << mc_words << " MC random words).\n";
 
   // Observability overhead A/B: the identical cache-off single-thread
   // workload through a bare RankingService (registry = nullptr — the
@@ -262,8 +264,9 @@ int main() {
   report.SetMetric("cache_evictions", static_cast<int64_t>(cache.evictions));
   report.SetMetric("irreducible_exact_resolutions", irreducible_exact);
   report.SetMetric("irreducible_mc_resolutions", irreducible_mc);
-  // Host-independent work counter, gated exactly against the baseline.
+  // Host-independent work counters, gated exactly against the baseline.
   report.SetMetric("factoring_calls", factoring_calls);
+  report.SetMetric("mc_words", mc_words);
   report.SetMetric("deterministic_output", deterministic);
   report.SetMetric("obs_overhead_ratio", obs_overhead_ratio);
   report.SetMetric("obs_ab_reps", ab_reps);

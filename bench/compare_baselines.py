@@ -181,6 +181,7 @@ BENCH_GATES = {
         # a zero would mean the A/B never ran.
         floor("obs_overhead_ratio", 0.0),
         exact_match("factoring_calls"),
+        exact_match("mc_words"),
     ],
     "ingest_updates": [
         flag("deterministic_output",

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Self-test of bench/compare_baselines.py's exact-match gate: a
-deterministic work counter one off its committed baseline must fail the
-gate, and the baseline's own value must pass it.
+deterministic work counter (factoring calls, MC random words) one off
+its committed baseline must fail the gate, and the baseline's own value
+must pass it.
 
     python3 bench/test_compare_baselines.py
 """
@@ -39,26 +40,34 @@ def run_gate(report):
         return done.returncode, done.stdout
 
 
+# The serve_topk counters gated with exact_match.
+COUNTERS = ("factoring_calls", "mc_words")
+
+
 class ExactMatchGateTest(unittest.TestCase):
     def setUp(self):
         self.report = json.loads(BASELINE.read_text())
-        self.calls = int(self.report["metrics"]["factoring_calls"])
 
     def test_baseline_value_passes(self):
         status, out = run_gate(self.report)
         self.assertEqual(status, 0, out)
 
     def test_off_by_one_fails(self):
-        for delta in (1, -1):
-            self.report["metrics"]["factoring_calls"] = self.calls + delta
-            status, out = run_gate(self.report)
-            self.assertEqual(status, 1, out)
-            self.assertIn("factoring_calls", out)
+        for key in COUNTERS:
+            value = int(self.report["metrics"][key])
+            for delta in (1, -1):
+                report = json.loads(json.dumps(self.report))
+                report["metrics"][key] = value + delta
+                status, out = run_gate(report)
+                self.assertEqual(status, 1, f"{key}{delta:+d}: {out}")
+                self.assertIn(key, out)
 
     def test_missing_counter_fails(self):
-        del self.report["metrics"]["factoring_calls"]
-        status, out = run_gate(self.report)
-        self.assertEqual(status, 1, out)
+        for key in COUNTERS:
+            report = json.loads(json.dumps(self.report))
+            del report["metrics"][key]
+            status, out = run_gate(report)
+            self.assertEqual(status, 1, f"{key}: {out}")
 
     def test_checker_needs_both_sides(self):
         check = compare_baselines.exact_match("factoring_calls")

@@ -87,6 +87,7 @@ uint64_t Server::StorageFingerprint() const {
   field(options_.mediator.include_minor_sources ? 1 : 0);
   const serve::RankingServiceOptions& r = options_.ranking;
   field(r.seed);
+  field(serve::kMcEstimatorVersion);
   field(static_cast<uint64_t>(r.exact_max_edges));
   field(static_cast<uint64_t>(r.mc_shard_trials));
   // Doubles ride their bit patterns (the values are configuration

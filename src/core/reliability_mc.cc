@@ -36,18 +36,11 @@ struct TrialWorkspace {
   std::vector<int64_t> last_sim;
   std::vector<NodeId> stack;
   int64_t epoch = 0;
-  // Naive-mode buffers (unused in traversal mode).
-  std::vector<uint8_t> node_present;
-  std::vector<uint8_t> edge_present;
 
-  void Init(int node_count, int edge_count, McOptions::Mode mode) {
+  void Init(int node_count) {
     reach_count.assign(node_count, 0);
     last_sim.assign(node_count, -1);
     stack.reserve(64);
-    if (mode == McOptions::Mode::kNaive) {
-      node_present.assign(node_count, 0);
-      edge_present.assign(edge_count, 0);
-    }
   }
 };
 
@@ -76,40 +69,6 @@ void RunTraversalTrials(const CompactGraphView& view, NodeId source,
           ++ws.reach_count[y];
           ws.stack.push_back(y);
         }
-      }
-    }
-  }
-}
-
-/// Runs `trials` naive trials: every element flips a coin, then a DFS over
-/// the sampled subgraph counts reached-and-present nodes.
-void RunNaiveTrials(const CompactGraphView& view, NodeId source,
-                    int64_t trials, Rng rng, TrialWorkspace& ws) {
-  const int n = static_cast<int>(view.node_p.size());
-  const int m = static_cast<int>(view.edge_q.size());
-  for (int64_t trial = 0; trial < trials; ++trial) {
-    const int64_t epoch = ++ws.epoch;
-    for (int i = 0; i < n; ++i) {
-      ws.node_present[i] = rng.NextBernoulli(view.node_p[i]) ? 1 : 0;
-    }
-    for (int i = 0; i < m; ++i) {
-      ws.edge_present[i] = rng.NextBernoulli(view.edge_q[i]) ? 1 : 0;
-    }
-    if (!ws.node_present[source]) continue;
-    ws.stack.clear();
-    ws.stack.push_back(source);
-    ws.last_sim[source] = epoch;
-    ++ws.reach_count[source];
-    while (!ws.stack.empty()) {
-      NodeId x = ws.stack.back();
-      ws.stack.pop_back();
-      for (int32_t i = view.out_offset[x]; i < view.out_offset[x + 1]; ++i) {
-        if (!ws.edge_present[i]) continue;
-        NodeId y = view.edge_to[i];
-        if (ws.last_sim[y] == epoch || !ws.node_present[y]) continue;
-        ws.last_sim[y] = epoch;
-        ++ws.reach_count[y];
-        ws.stack.push_back(y);
       }
     }
   }
@@ -174,7 +133,8 @@ inline uint64_t BernoulliThreshold(double p) {
 }
 
 /// Draw-consuming path only; callers must have peeled the sentinels.
-inline bool DrawAgainst(InlineRng& rng, uint64_t threshold) {
+inline bool DrawAgainst(InlineRng& rng, uint64_t threshold, int64_t& words) {
+  ++words;
   return (rng.Next() >> 11) < threshold;
 }
 
@@ -192,25 +152,20 @@ struct CsrThresholds {
   }
 };
 
-/// Dense scratch for the CSR kernels; arrays are sized to the snapshot's
-/// node count (no tombstone slack), so the per-trial working set is as
-/// small as the kept subgraph.
+/// Dense scratch for the CSR traversal kernel; arrays are sized to the
+/// snapshot's node count (no tombstone slack), so the per-trial working
+/// set is as small as the kept subgraph.
 struct CsrTrialWorkspace {
   std::vector<int64_t> reach_count;
   std::vector<int64_t> last_sim;
   std::vector<uint32_t> stack;
   int64_t epoch = 0;
-  std::vector<uint8_t> node_present;
-  std::vector<uint8_t> edge_present;
+  int64_t words = 0;
 
-  void Init(uint32_t node_count, uint32_t edge_count, McOptions::Mode mode) {
+  void Init(uint32_t node_count) {
     reach_count.assign(node_count, 0);
     last_sim.assign(node_count, -1);
     stack.reserve(64);
-    if (mode == McOptions::Mode::kNaive) {
-      node_present.assign(node_count, 0);
-      edge_present.assign(edge_count, 0);
-    }
   }
 };
 
@@ -222,13 +177,14 @@ void RunCsrTraversalTrials(const CsrSnapshot& csr,
   const uint64_t* const edge_t = thresholds.edge.data();
   const uint32_t* const out_offset = csr.out_offset.data();
   const uint32_t* const out_to = csr.out_to.data();
+  int64_t words = 0;
   for (int64_t trial = 0; trial < trials; ++trial) {
     const int64_t epoch = ++ws.epoch;
     ws.stack.clear();
     ws.last_sim[source] = epoch;
     const uint64_t source_t = node_t[source];
     if (source_t == kThreshCertain ||
-        (source_t != kThreshNever && DrawAgainst(rng, source_t))) {
+        (source_t != kThreshNever && DrawAgainst(rng, source_t, words))) {
       ++ws.reach_count[source];
       ws.stack.push_back(source);
     }
@@ -239,7 +195,7 @@ void RunCsrTraversalTrials(const CsrSnapshot& csr,
       for (uint32_t i = out_offset[x]; i < end; ++i) {
         const uint64_t et = edge_t[i];
         if (et != kThreshCertain &&
-            (et == kThreshNever || !DrawAgainst(rng, et))) {
+            (et == kThreshNever || !DrawAgainst(rng, et, words))) {
           continue;
         }
         const uint32_t y = out_to[i];
@@ -247,69 +203,244 @@ void RunCsrTraversalTrials(const CsrSnapshot& csr,
         ws.last_sim[y] = epoch;
         const uint64_t nt = node_t[y];
         if (nt == kThreshCertain ||
-            (nt != kThreshNever && DrawAgainst(rng, nt))) {
+            (nt != kThreshNever && DrawAgainst(rng, nt, words))) {
           ++ws.reach_count[y];
           ws.stack.push_back(y);
         }
       }
     }
   }
+  ws.words += words;
 }
 
-void RunCsrNaiveTrials(const CsrSnapshot& csr,
-                       const CsrThresholds& thresholds, uint32_t source,
-                       int64_t trials, InlineRng rng,
-                       CsrTrialWorkspace& ws) {
-  const uint32_t n = csr.num_nodes();
-  const uint32_t m = csr.num_edges();
+// ---------------------------------------------------------------------------
+// Word-parallel kernel (McOptions::Mode::kWordParallel): 64 trials per
+// uint64_t, lane j of every mask standing for one trial.
+// ---------------------------------------------------------------------------
+
+/// The lanes of `lanes` whose coin against `threshold` lands heads, drawn
+/// exactly: lane j accepts iff U_j < t, where U_j is the uniform 53-bit
+/// integer whose bits are bit j of successive random words, most
+/// significant first. At each bit of t a lane whose random bit differs
+/// from t's is decided (a 0 against a 1 accepts, a 1 against a 0
+/// rejects); the rest stay open. Below t's lowest set bit an open lane
+/// can only tie or exceed t, so it rejects without further draws. Every
+/// draw halves the open lanes in expectation, so ~7 words settle 64
+/// lanes. Certain and impossible elements, and empty masks, draw
+/// nothing.
+inline uint64_t DrawLanes(InlineRng& rng, uint64_t threshold, uint64_t lanes,
+                          int64_t& words) {
+  if (threshold == kThreshCertain) return lanes;
+  if (threshold == kThreshNever || lanes == 0) return 0;
+  uint64_t accept = 0;
+  uint64_t open = lanes;
+  const int lowest = __builtin_ctzll(threshold);
+  for (int bit = 52; bit >= lowest && open != 0; --bit) {
+    const uint64_t random = rng.Next();
+    ++words;
+    // All ones when t has this bit set: the open lanes drawing 0 accept.
+    // Either way the lanes whose bit equals t's stay open. Branch-free,
+    // because t's bits are as good as random.
+    const uint64_t t_bit = uint64_t{0} - ((threshold >> bit) & 1);
+    accept |= open & ~random & t_bit;
+    open &= ~(random ^ t_bit);
+  }
+  return accept;
+}
+
+/// The nodes reachable from the source, in topological order when they
+/// induce no cycle (Kahn's algorithm over the CSR), else in BFS order
+/// with `acyclic` false. Built once per call and shared read-only by
+/// every worker; nodes outside it can never be reached in any trial.
+struct ReachOrder {
+  std::vector<uint32_t> nodes;
+  bool acyclic = true;
+
+  ReachOrder(const CsrSnapshot& csr, uint32_t source) {
+    const uint32_t n = csr.num_nodes();
+    std::vector<uint32_t> indegree(n, 0);
+    std::vector<uint8_t> seen(n, 0);
+    nodes.push_back(source);
+    seen[source] = 1;
+    for (size_t head = 0; head < nodes.size(); ++head) {
+      const uint32_t x = nodes[head];
+      for (uint32_t i = csr.out_offset[x]; i < csr.out_offset[x + 1]; ++i) {
+        const uint32_t y = csr.out_to[i];
+        ++indegree[y];
+        if (!seen[y]) {
+          seen[y] = 1;
+          nodes.push_back(y);
+        }
+      }
+    }
+    std::vector<uint32_t> order;
+    order.reserve(nodes.size());
+    if (indegree[source] == 0) order.push_back(source);
+    for (size_t head = 0; head < order.size(); ++head) {
+      const uint32_t x = order[head];
+      for (uint32_t i = csr.out_offset[x]; i < csr.out_offset[x + 1]; ++i) {
+        if (--indegree[csr.out_to[i]] == 0) order.push_back(csr.out_to[i]);
+      }
+    }
+    acyclic = order.size() == nodes.size();
+    if (acyclic) nodes.swap(order);
+  }
+};
+
+/// Per-slot scratch of the word kernel, indexed by dense node id: the
+/// lanes an in-edge delivered to a node (`arrived`), the lanes in which
+/// it is reached and present (`reached`), and, for the cyclic fixpoint,
+/// the lanes whose out-edge coins are already drawn (`expanded`).
+struct WordWorkspace {
+  std::vector<int64_t> reach_count;
+  std::vector<uint64_t> arrived;
+  std::vector<uint64_t> reached;
+  std::vector<uint64_t> expanded;
+  std::vector<uint8_t> queued;
+  std::vector<uint32_t> worklist;
+  int64_t words = 0;
+
+  void Init(uint32_t node_count) {
+    reach_count.assign(node_count, 0);
+    arrived.assign(node_count, 0);
+    reached.assign(node_count, 0);
+    expanded.assign(node_count, 0);
+    queued.assign(node_count, 0);
+  }
+};
+
+/// One word of trials on a DAG: each node, visited once in topological
+/// order, has every in-edge's delivery before its own coin is drawn.
+/// Returns the random words drawn.
+int64_t RunWordOnDag(const CsrSnapshot& csr, const CsrThresholds& thresholds,
+                  const ReachOrder& order, uint32_t source, uint64_t lanes,
+                  InlineRng& rng, WordWorkspace& ws) {
   const uint64_t* const node_t = thresholds.node.data();
   const uint64_t* const edge_t = thresholds.edge.data();
-  for (int64_t trial = 0; trial < trials; ++trial) {
-    const int64_t epoch = ++ws.epoch;
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint64_t t = node_t[i];
-      ws.node_present[i] =
-          (t == kThreshCertain ||
-           (t != kThreshNever && DrawAgainst(rng, t)))
-              ? 1
-              : 0;
+  const uint32_t* const out_offset = csr.out_offset.data();
+  const uint32_t* const out_to = csr.out_to.data();
+  uint64_t* const arrived = ws.arrived.data();
+  int64_t words = 0;
+  for (uint32_t x : order.nodes) arrived[x] = 0;
+  arrived[source] = lanes;
+  for (uint32_t x : order.nodes) {
+    const uint64_t reach = DrawLanes(rng, node_t[x], arrived[x], words);
+    if (reach == 0) continue;
+    ws.reach_count[x] += __builtin_popcountll(reach);
+    const uint32_t end = out_offset[x + 1];
+    for (uint32_t i = out_offset[x]; i < end; ++i) {
+      arrived[out_to[i]] |= DrawLanes(rng, edge_t[i], reach, words);
     }
-    for (uint32_t i = 0; i < m; ++i) {
-      const uint64_t t = edge_t[i];
-      ws.edge_present[i] =
-          (t == kThreshCertain ||
-           (t != kThreshNever && DrawAgainst(rng, t)))
-              ? 1
-              : 0;
-    }
-    if (!ws.node_present[source]) continue;
-    ws.stack.clear();
-    ws.stack.push_back(source);
-    ws.last_sim[source] = epoch;
-    ++ws.reach_count[source];
-    while (!ws.stack.empty()) {
-      const uint32_t x = ws.stack.back();
-      ws.stack.pop_back();
-      const uint32_t end = csr.out_offset[x + 1];
-      for (uint32_t i = csr.out_offset[x]; i < end; ++i) {
-        if (!ws.edge_present[i]) continue;
-        const uint32_t y = csr.out_to[i];
-        if (ws.last_sim[y] == epoch || !ws.node_present[y]) continue;
-        ws.last_sim[y] = epoch;
-        ++ws.reach_count[y];
-        ws.stack.push_back(y);
+  }
+  return words;
+}
+
+/// One word of trials on a graph whose reachable part has a cycle: a
+/// worklist runs to the fixpoint, drawing each edge's coins only for
+/// lanes its tail newly reached and each node's only for lanes that newly
+/// arrive, so no lane flips any coin twice. Returns the random words
+/// drawn.
+int64_t RunWordOnCyclic(const CsrSnapshot& csr, const CsrThresholds& thresholds,
+                     const ReachOrder& order, uint32_t source, uint64_t lanes,
+                     InlineRng& rng, WordWorkspace& ws) {
+  const uint64_t* const node_t = thresholds.node.data();
+  const uint64_t* const edge_t = thresholds.edge.data();
+  int64_t words = 0;
+  for (uint32_t x : order.nodes) {
+    ws.arrived[x] = 0;
+    ws.reached[x] = 0;
+    ws.expanded[x] = 0;
+  }
+  ws.arrived[source] = lanes;
+  ws.reached[source] = DrawLanes(rng, node_t[source], lanes, words);
+  ws.worklist.assign(1, source);
+  ws.queued[source] = 1;
+  for (size_t head = 0; head < ws.worklist.size(); ++head) {
+    const uint32_t x = ws.worklist[head];
+    ws.queued[x] = 0;
+    const uint64_t fresh = ws.reached[x] & ~ws.expanded[x];
+    ws.expanded[x] |= fresh;
+    for (uint32_t i = csr.out_offset[x]; i < csr.out_offset[x + 1]; ++i) {
+      const uint32_t y = csr.out_to[i];
+      const uint64_t delivered =
+          DrawLanes(rng, edge_t[i], fresh, words) & ~ws.arrived[y];
+      if (delivered == 0) continue;
+      ws.arrived[y] |= delivered;
+      const uint64_t present = DrawLanes(rng, node_t[y], delivered, words);
+      if (present == 0) continue;
+      ws.reached[y] |= present;
+      if (!ws.queued[y]) {
+        ws.queued[y] = 1;
+        ws.worklist.push_back(y);
       }
     }
   }
+  for (uint32_t x : order.nodes) {
+    ws.reach_count[x] += __builtin_popcountll(ws.reached[x]);
+  }
+  return words;
+}
+
+/// Runs `trials` trials as ceil(trials / 64) words, the last one masked
+/// to its partial lane count.
+void RunWordParallelTrials(const CsrSnapshot& csr,
+                           const CsrThresholds& thresholds,
+                           const ReachOrder& order, uint32_t source,
+                           int64_t trials, InlineRng rng, WordWorkspace& ws) {
+  for (int64_t done = 0; done < trials; done += 64) {
+    const int64_t width = std::min<int64_t>(64, trials - done);
+    const uint64_t lanes =
+        width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+    ws.words += order.acyclic
+                    ? RunWordOnDag(csr, thresholds, order, source, lanes, rng,
+                                   ws)
+                    : RunWordOnCyclic(csr, thresholds, order, source, lanes,
+                                      rng, ws);
+  }
+}
+
+/// Runs shards [shard_begin, shard_end) of the plan `shards` over `pool`,
+/// shard i on the stream of Rng::ForStream(seed, i), through
+/// `kernel(trials, rng, workspace)` on per-slot scratch sized on first
+/// use. Adds the integer reach counts into `totals` (so which slot ran
+/// which shard is invisible) and returns the random words drawn.
+template <typename Workspace, typename Kernel>
+int64_t RunShardRange(ThreadPool& pool, int max_parallelism, uint64_t seed,
+                      const std::vector<int64_t>& shards, int64_t shard_begin,
+                      int64_t shard_end, std::vector<int64_t>& totals,
+                      const Kernel& kernel) {
+  const uint32_t n = static_cast<uint32_t>(totals.size());
+  std::vector<Workspace> workspaces(pool.slot_count());
+  pool.ParallelFor(
+      shard_end - shard_begin,
+      [&](int slot, int64_t offset) {
+        const int64_t shard = shard_begin + offset;
+        Workspace& ws = workspaces[slot];
+        if (ws.reach_count.empty()) ws.Init(n);
+        kernel(shards[shard],
+               InlineRng(DeriveStreamSeed(seed, static_cast<uint64_t>(shard))),
+               ws);
+      },
+      max_parallelism);
+  int64_t words = 0;
+  for (const Workspace& ws : workspaces) {
+    if (ws.reach_count.empty()) continue;
+    for (uint32_t i = 0; i < n; ++i) totals[i] += ws.reach_count[i];
+    words += ws.words;
+  }
+  return words;
 }
 
 /// The seed-era pointer-view estimator, byte-for-byte the original hot
 /// path — now the differential reference backend.
 Result<McEstimate> EstimateOnPointerView(const QueryGraph& query_graph,
                                          const McOptions& options) {
+  if (options.mode != McOptions::Mode::kTraversal) {
+    return Status::InvalidArgument(
+        "MC word-parallel mode runs on the CSR backend only");
+  }
   CompactGraphView view = CompactGraphView::FromGraph(query_graph.graph);
   const int n = view.node_count();
-  const int m = static_cast<int>(view.edge_q.size());
 
   // Fixed shard schedule: shard i runs shards[i] trials on RNG stream
   // (seed, i). Which thread runs which shard never affects the counts.
@@ -329,13 +460,9 @@ Result<McEstimate> EstimateOnPointerView(const QueryGraph& query_graph,
       static_cast<int64_t>(shards.size()),
       [&](int slot, int64_t shard) {
         TrialWorkspace& ws = workspaces[slot];
-        if (ws.reach_count.empty()) ws.Init(n, m, options.mode);
+        if (ws.reach_count.empty()) ws.Init(n);
         Rng rng = Rng::ForStream(options.seed, static_cast<uint64_t>(shard));
-        if (options.mode == McOptions::Mode::kTraversal) {
-          RunTraversalTrials(view, query_graph.source, shards[shard], rng, ws);
-        } else {
-          RunNaiveTrials(view, query_graph.source, shards[shard], rng, ws);
-        }
+        RunTraversalTrials(view, query_graph.source, shards[shard], rng, ws);
       },
       max_parallelism);
 
@@ -366,7 +493,6 @@ Result<McShardTallies> TallyReliabilityMcShards(
   }
   const CsrSnapshot& csr = snapshot.csr;
   const uint32_t n = csr.num_nodes();
-  const uint32_t m = csr.num_edges();
 
   Result<std::vector<int64_t>> plan =
       PlanTrialShards(options.trials, options.shard_trials);
@@ -379,7 +505,6 @@ Result<McShardTallies> TallyReliabilityMcShards(
         std::to_string(shard_end) + ") is outside the " +
         std::to_string(shards.size()) + "-shard schedule");
   }
-  const int64_t range = shard_end - shard_begin;
 
   ThreadPool& pool = options.pool != nullptr ? *options.pool
                                              : ThreadPool::Global();
@@ -387,35 +512,30 @@ Result<McShardTallies> TallyReliabilityMcShards(
                                   ? ThreadPool::kUnlimitedParallelism
                                   : options.num_threads;
 
-  const CsrThresholds thresholds(csr);
-  std::vector<CsrTrialWorkspace> workspaces(pool.slot_count());
-  pool.ParallelFor(
-      range,
-      [&](int slot, int64_t offset) {
-        const int64_t shard = shard_begin + offset;
-        CsrTrialWorkspace& ws = workspaces[slot];
-        if (ws.reach_count.empty()) ws.Init(n, m, options.mode);
-        // Same per-shard stream as Rng::ForStream(seed, shard).
-        InlineRng rng(DeriveStreamSeed(options.seed,
-                                       static_cast<uint64_t>(shard)));
-        if (options.mode == McOptions::Mode::kTraversal) {
-          RunCsrTraversalTrials(csr, thresholds, snapshot.source,
-                                shards[shard], rng, ws);
-        } else {
-          RunCsrNaiveTrials(csr, thresholds, snapshot.source, shards[shard],
-                            rng, ws);
-        }
-      },
-      max_parallelism);
-
-  // Dense integer totals, then one expansion back to original NodeId
-  // indexing (dead nodes count 0) so callers are backend-agnostic.
   std::vector<int64_t> totals(n, 0);
-  for (const CsrTrialWorkspace& ws : workspaces) {
-    if (ws.reach_count.empty()) continue;
-    for (uint32_t i = 0; i < n; ++i) totals[i] += ws.reach_count[i];
+  const CsrThresholds thresholds(csr);
+  const uint32_t source = snapshot.source;
+  int64_t words = 0;
+  if (options.mode == McOptions::Mode::kTraversal) {
+    words = RunShardRange<CsrTrialWorkspace>(
+        pool, max_parallelism, options.seed, shards, shard_begin, shard_end,
+        totals, [&](int64_t trials, InlineRng rng, CsrTrialWorkspace& ws) {
+          RunCsrTraversalTrials(csr, thresholds, source, trials, rng, ws);
+        });
+  } else {
+    const ReachOrder order(csr, source);
+    words = RunShardRange<WordWorkspace>(
+        pool, max_parallelism, options.seed, shards, shard_begin, shard_end,
+        totals, [&](int64_t trials, InlineRng rng, WordWorkspace& ws) {
+          RunWordParallelTrials(csr, thresholds, order, source, trials, rng,
+                                ws);
+        });
   }
+
+  // One expansion back to original NodeId indexing (dead nodes count 0)
+  // so callers are backend-agnostic.
   McShardTallies tallies;
+  tallies.words = words;
   for (int64_t shard = shard_begin; shard < shard_end; ++shard) {
     tallies.trials += shards[shard];
   }

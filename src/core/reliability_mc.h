@@ -1,6 +1,7 @@
 // Monte Carlo estimation of source-target reliability (the paper's
-// Algorithm 3.1), with both a naive sampler and the lazy depth-first
-// sampler that only flips coins for elements actually reached.
+// Algorithm 3.1): the lazy depth-first sampler that only flips coins for
+// elements actually reached, and a word-parallel kernel that runs 64
+// trials as the lanes of a machine word.
 
 #ifndef BIORANK_CORE_RELIABILITY_MC_H_
 #define BIORANK_CORE_RELIABILITY_MC_H_
@@ -17,22 +18,34 @@ namespace biorank {
 
 /// Monte Carlo estimation options (Section 3.1, Algorithm 3.1).
 struct McOptions {
-  /// How the random subgraph is sampled per trial.
+  /// How the random subgraphs are sampled.
   enum class Mode {
     /// Algorithm 3.1: depth-first traversal from the source that only
-    /// flips coins for elements actually reached. Identical estimator to
-    /// kNaive, substantially faster (the paper reports an average 3.4x
-    /// speedup on its scenario graphs).
+    /// flips coins for elements actually reached, one trial at a time
+    /// (the paper reports an average 3.4x speedup over flipping every
+    /// coin). Bit-identical between the two backends.
     kTraversal,
-    /// The naive simulation: flip a coin for every node and every edge,
-    /// then test reachability. Kept as the baseline for the speedup
-    /// comparison in `bench_reduction_stats`.
-    kNaive,
+    /// 64 trials per `uint64_t`, one lane each (CSR backend only; the
+    /// pointer backend rejects it with InvalidArgument). An element's
+    /// coins are drawn for just the lanes that reach it, by bit-slicing
+    /// its 53-bit threshold t from the most significant bit down: one
+    /// random word per bit decides every lane whose random bit differs
+    /// from t's, so lane j accepts iff its uniform 53-bit U_j < t —
+    /// exactly the traversal's coin. Reach propagates as
+    /// `arrived[y] |= coins(edge, reached[x])` in topological order,
+    /// with a worklist fixpoint when the reachable part has a cycle;
+    /// the counts are popcounts. Coins are drawn per word rather than
+    /// per trial, so estimates are not bit-identical to kTraversal's;
+    /// they are deterministic per (seed, shard) at any thread count and
+    /// under any partition of the shard range, and statistically equal
+    /// to the exact reliability.
+    kWordParallel,
   };
 
-  /// Which graph substrate the trials run on. Both backends flip the
-  /// same coins in the same order, so every estimate is bit-identical
-  /// between them (pinned by tests/core_csr_differential_test.cc).
+  /// Which graph substrate the trials run on. In kTraversal mode both
+  /// backends flip the same coins in the same order, so every estimate
+  /// is bit-identical between them (pinned by
+  /// tests/core_csr_differential_test.cc).
   enum class Backend {
     /// Flat CSR snapshot (core/csr_snapshot.h) with an inlined sampler —
     /// the hot path. Default.
@@ -104,6 +117,10 @@ struct McShardTallies {
   std::vector<int64_t> counts;
   /// Trials the range covered (the sum of its shard sizes).
   int64_t trials = 0;
+  /// 64-bit random words the range drew: a deterministic, host-independent
+  /// count of the sampling work (certain and impossible elements draw
+  /// none).
+  int64_t words = 0;
 };
 Result<McShardTallies> TallyReliabilityMcShards(
     const CsrQuerySnapshot& snapshot, const McOptions& options,

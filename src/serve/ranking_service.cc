@@ -331,7 +331,13 @@ Status RankingService::AdvanceMonteCarlo(UniqueState& u,
   mc.trials = mc_trials_;
   mc.seed = DeriveStreamSeed(options_.seed, u.canonical->key.hash);
   mc.shard_trials = options_.mc_shard_trials;
-  mc.num_threads = options_.num_threads;
+  mc.mode = McOptions::Mode::kWordParallel;
+  // Serve parallelizes Monte Carlo per survivor only. The blocking path
+  // already runs this call inside its survivor fan-out (where a nested
+  // loop would run inline anyway), and an anytime increment covers a
+  // couple of 512-trial shards — a few dozen words — which cost less on
+  // the calling thread than a hand-off to the pool.
+  mc.num_threads = 1;
   mc.pool = options_.pool;
   Result<std::vector<int64_t>> plan =
       PlanTrialShards(mc.trials, mc.shard_trials);
@@ -377,6 +383,7 @@ Status RankingService::AdvanceMonteCarlo(UniqueState& u,
         tallies.value().counts[static_cast<size_t>(u.canonical->target)];
     u.entry.trials += tallies.value().trials;
     u.trials_spent += tallies.value().trials;
+    u.words_spent += tallies.value().words;
   }
 
   if (u.entry.trials >= mc_trials_) {
@@ -493,6 +500,7 @@ Result<TopKResult> RankingService::RankPrepared(
             return;
           }
           span.Counter("trials", u.trials_spent);
+          span.Counter("words", u.words_spent);
         },
         max_parallelism);
     if (metrics_.mc_seconds != nullptr && !survivors.empty()) {
@@ -511,6 +519,7 @@ Result<TopKResult> RankingService::RankPrepared(
     } else {
       ++stats.monte_carlo;
       stats.mc_trials += u.trials_spent;
+      stats.mc_words += u.words_spent;
     }
   }
 

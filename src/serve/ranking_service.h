@@ -5,7 +5,7 @@
 //   canonicalize (core/canonical) -> reliability_cache lookup
 //     -> deterministic bounds (core/reliability_bounds)
 //     -> prune against the top-k cut
-//     -> exact factoring on reducible residues, else shared-pool MC
+//     -> exact factoring on reducible residues, else word-parallel MC
 //        on the RNG stream derived from the canonical hash.
 //
 // Output is bit-identical at any thread count and with the cache on or
@@ -35,9 +35,17 @@ enum class Resolution {
   kPruned,       ///< Bounds proved it outside the top k; never resolved.
   kBoundExact,   ///< Bounds closed (lower == upper within tolerance): value free.
   kExact,        ///< Factoring on the reduced canonical graph.
-  kMonteCarlo,   ///< Seeded shared-pool MC on the canonical graph.
+  kMonteCarlo,   ///< Seeded word-parallel MC on the canonical graph.
   kRefining,     ///< Anytime: MC in progress, value still a bracket.
 };
+
+/// Names the Monte Carlo estimator AdvanceMonteCarlo runs; bump it
+/// whenever a change makes the kernel draw different coins. A cached
+/// entry's partial tally is only resumable by the kernel that wrote it,
+/// so api::Server folds this into its storage fingerprint and refuses a
+/// store written under another version. 1 was the per-trial traversal
+/// kernel; 2 is the word-parallel kernel.
+inline constexpr uint64_t kMcEstimatorVersion = 2;
 
 /// One ranked answer of a request.
 struct RankedCandidate {
@@ -75,6 +83,9 @@ struct RequestStats {
   int exact = 0;            ///< Misses resolved by factoring.
   int monte_carlo = 0;      ///< Misses resolved by Monte Carlo.
   int64_t mc_trials = 0;    ///< Total MC trials spent.
+  /// Random 64-bit words those trials drew (McShardTallies::words): a
+  /// deterministic count of the sampling work.
+  int64_t mc_words = 0;
   /// Conditioning calls exact factoring spent, successful attempts and
   /// attempts that ran out of budget alike (FactoringStats::calls).
   int64_t factoring_calls = 0;
@@ -88,6 +99,7 @@ struct RequestStats {
     exact += other.exact;
     monte_carlo += other.monte_carlo;
     mc_trials += other.mc_trials;
+    mc_words += other.mc_words;
     factoring_calls += other.factoring_calls;
   }
 
@@ -129,8 +141,9 @@ struct RankingServiceOptions {
   /// (seed, canonical hash of c) — never from request order — so cached
   /// and recomputed values are bit-identical.
   uint64_t seed = 42;
-  /// Parallelism for canonicalize/bound/resolve fan-out and the MC
-  /// shards: 0 = shared pool, 1 = inline, k = cap (McOptions semantics).
+  /// Parallelism for the canonicalize/bound/resolve fan-out: 0 = shared
+  /// pool, 1 = inline, k = cap (McOptions semantics). Each survivor's
+  /// Monte Carlo runs on the thread that resolves it.
   int num_threads = 0;
   ThreadPool* pool = nullptr;
   /// Disable to measure the cache's contribution; results are identical.
@@ -174,6 +187,7 @@ struct UniqueState {
   bool exact_attempted = false;  ///< Factoring tried (pay its budget once).
   int64_t factoring_calls = 0;   ///< Conditioning calls that attempt spent.
   int64_t trials_spent = 0;      ///< MC trials this caller ran (vs adopted).
+  int64_t words_spent = 0;       ///< Random words those trials drew.
   Resolution resolution = Resolution::kPruned;
   Status status;
 };
@@ -287,8 +301,11 @@ class RankingService {
   /// Because shard i always draws from the stream derived from (seed,
   /// canonical hash, i) and tallies are integers, any increment sequence
   /// reaching full coverage yields the bit-identical converged value the
-  /// blocking path computes. On convergence sets the value (clamped to
-  /// the bounds) and Resolution::kMonteCarlo; otherwise kRefining.
+  /// blocking path computes. The shards run on the calling thread with
+  /// the word-parallel kernel (McOptions::Mode::kWordParallel, the
+  /// estimator kMcEstimatorVersion names). On convergence sets the value
+  /// (clamped to the bounds) and Resolution::kMonteCarlo; otherwise
+  /// kRefining.
   Status AdvanceMonteCarlo(UniqueState& u, int64_t trial_budget);
 
   /// Phase 7: publish every changed unique to the cache in order

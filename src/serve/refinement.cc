@@ -101,8 +101,10 @@ Result<Completeness> RefineIncrement(
     }
     if (!u.entry.has_value) {
       const int64_t spent_before = u.trials_spent;
+      const int64_t words_before = u.words_spent;
       BIORANK_RETURN_IF_ERROR(service.AdvanceMonteCarlo(u, trial_budget));
       state.stats.mc_trials += u.trials_spent - spent_before;
+      state.stats.mc_words += u.words_spent - words_before;
     }
     if (use_cache && !adopted) {
       service.cache().Put(u.canonical->key, u.entry);

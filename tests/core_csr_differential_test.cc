@@ -1,7 +1,9 @@
 // Differential lockdown of the CSR-vs-pointer backend contract: across
 // ~200 seeded random graphs, reliability_mc, topk_mc, diffusion, and the
 // per-candidate query-relevant restriction must be BIT-identical between
-// the flat-snapshot and pointer-graph substrates, at 1 and 4 threads.
+// the flat-snapshot and pointer-graph substrates, at 1 and 4 threads; the
+// CSR-only word-parallel MC kernel must be bit-identical to itself across
+// thread counts and shard partitions.
 // Any divergence means the two paths flipped different coins (or summed
 // in a different order) — the exact regression this suite exists to
 // catch before it ships as a silent ranking change.
@@ -18,6 +20,7 @@
 #include "core/reliability_exact.h"
 #include "testing/differential.h"
 #include "testing/random_graphs.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace biorank {
@@ -29,36 +32,13 @@ using testing::CompareMcBackends;
 using testing::CompareCanonicalizationWithReference;
 using testing::CompareReductionWithReference;
 using testing::CompareTopKBackends;
+using testing::CompareWordParallelInvariance;
 using testing::DiffResult;
-
-/// One graph per round, cycling through the three generators so the
-/// sweep covers DAGs, trees, and cyclic digraphs (self-loops included).
-QueryGraph GraphForRound(Rng& rng, int round) {
-  switch (round % 3) {
-    case 0: {
-      testing::RandomDagOptions options;
-      options.layers = 2 + round % 4;
-      options.nodes_per_layer = 3 + round % 5;
-      options.answers = 2 + round % 4;
-      options.edge_density = 0.3 + 0.02 * (round % 15);
-      options.skip_density = 0.1;
-      options.certain_nodes = (round % 6) == 0;
-      return testing::MakeRandomLayeredDag(rng, options);
-    }
-    case 1:
-      return testing::MakeRandomTree(rng, 2 + round % 3, 2 + round % 2,
-                                     (round % 4) == 1);
-    default:
-      return testing::MakeRandomDigraph(rng, 8 + round % 10,
-                                        0.2 + 0.01 * (round % 10),
-                                        2 + round % 3);
-  }
-}
 
 TEST(CsrDifferentialTest, ReliabilityMcBitIdentical) {
   Rng rng(20260808);
   for (int round = 0; round < 50; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
+    QueryGraph query = testing::MakeHarnessGraph(rng, round);
     for (int threads : {1, 4}) {
       DiffResult r = CompareMcBackends(query, /*trials=*/1500,
                                        /*seed=*/1000 + round, threads);
@@ -68,27 +48,26 @@ TEST(CsrDifferentialTest, ReliabilityMcBitIdentical) {
   }
 }
 
-TEST(CsrDifferentialTest, ReliabilityMcNaiveModeBitIdentical) {
-  // The naive sampler flips a coin for *every* element, so it exercises
-  // the dense-iteration equivalence (dead nodes consume no draws in
-  // either backend because p == 0 short-circuits the Bernoulli).
+TEST(CsrDifferentialTest, ReliabilityMcWordParallelInvariant) {
+  // The word-parallel kernel has no pointer twin (the pointer backend
+  // rejects it), so its contract is invariance: the same counts, trials
+  // and words at 1, 2, 4 and 8 threads and under every tested partition
+  // of the shard range, on the harness's full graph count. 2000 trials
+  // is four shards, the last one ending in a partial word.
+  ThreadPool pool(7);
   Rng rng(77);
-  for (int round = 0; round < 25; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
-    for (int threads : {1, 4}) {
-      DiffResult r =
-          CompareMcBackends(query, /*trials=*/600, /*seed=*/31 + round,
-                            threads, McOptions::Mode::kNaive);
-      EXPECT_TRUE(r.ok) << "round " << round << ", " << threads
-                        << " threads: " << r.message;
-    }
+  for (int round = 0; round < 206; ++round) {
+    QueryGraph query = testing::MakeHarnessGraph(rng, round);
+    DiffResult r = CompareWordParallelInvariance(
+        query, /*trials=*/2000, /*seed=*/31 + round, pool);
+    EXPECT_TRUE(r.ok) << "round " << round << ": " << r.message;
   }
 }
 
 TEST(CsrDifferentialTest, TopKAdaptiveTrajectoryBitIdentical) {
   Rng rng(4242);
   for (int round = 0; round < 40; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
+    QueryGraph query = testing::MakeHarnessGraph(rng, round);
     TopKOptions options;
     options.k = 2;
     options.batch_trials = 400;
@@ -106,7 +85,7 @@ TEST(CsrDifferentialTest, TopKAdaptiveTrajectoryBitIdentical) {
 TEST(CsrDifferentialTest, DiffusionBitIdentical) {
   Rng rng(1717);
   for (int round = 0; round < 50; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
+    QueryGraph query = testing::MakeHarnessGraph(rng, round);
     DiffusionOptions options;
     options.max_iterations = 100;
     options.solver = (round % 2) == 0 ? DiffusionInnerSolver::kAnalytic
@@ -122,7 +101,7 @@ TEST(CsrDifferentialTest, RestrictionAndCanonicalizationIdentical) {
   // sometimes starving the labeling budget (first-branch-only search).
   Rng rng(5150);
   for (int round = 0; round < 206; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
+    QueryGraph query = testing::MakeHarnessGraph(rng, round);
     CanonicalizeOptions options;
     options.collect_provenance = (round % 2) == 0;
     if (round % 5 == 4) options.max_label_leaves = 1;
@@ -137,7 +116,7 @@ TEST(CsrDifferentialTest, ReductionAdapterIdentical) {
   // subset of the five rules.
   Rng rng(8086);
   for (int round = 0; round < 206; ++round) {
-    QueryGraph query = GraphForRound(rng, round);
+    QueryGraph query = testing::MakeHarnessGraph(rng, round);
     ProbabilisticEntityGraph& graph = query.graph;
     if (round % 3 == 0 && graph.num_edges() > 0) {
       const std::vector<EdgeId> alive = graph.AliveEdges();
@@ -168,52 +147,6 @@ TEST(CsrDifferentialTest, ReductionAdapterIdentical) {
   }
 }
 
-/// A layered DAG of the open-loop serving workload's shape: a source,
-/// three layers of six nodes, twelve answers, layer-to-layer edges at
-/// density 0.45, skip edges at 0.15, and one guaranteed in-edge per
-/// node. Its per-answer residues are the irreducible ones exact
-/// factoring meets in serving.
-QueryGraph MakeServingShapedDag(Rng& rng) {
-  QueryGraphBuilder builder;
-  std::vector<std::vector<NodeId>> layers = {{builder.Source()}};
-  for (int layer = 0; layer < 3; ++layer) {
-    std::vector<NodeId> current;
-    for (int i = 0; i < 6; ++i) {
-      current.push_back(builder.Node(rng.NextUniform(0.3, 1.0)));
-    }
-    layers.push_back(current);
-  }
-  std::vector<NodeId> answers;
-  for (int i = 0; i < 12; ++i) {
-    answers.push_back(builder.Node(rng.NextUniform(0.3, 1.0)));
-  }
-  layers.push_back(answers);
-  for (size_t layer = 0; layer + 1 < layers.size(); ++layer) {
-    for (NodeId from : layers[layer]) {
-      for (NodeId to : layers[layer + 1]) {
-        if (rng.NextBernoulli(0.45)) {
-          builder.Edge(from, to, rng.NextUniform(0.2, 1.0));
-        }
-      }
-      for (size_t skip = layer + 2; skip < layers.size(); ++skip) {
-        for (NodeId to : layers[skip]) {
-          if (rng.NextBernoulli(0.15)) {
-            builder.Edge(from, to, rng.NextUniform(0.2, 1.0));
-          }
-        }
-      }
-    }
-  }
-  for (size_t layer = 1; layer < layers.size(); ++layer) {
-    for (NodeId to : layers[layer]) {
-      const std::vector<NodeId>& prev = layers[layer - 1];
-      builder.Edge(prev[static_cast<size_t>(rng.NextBounded(prev.size()))],
-                   to, rng.NextUniform(0.2, 1.0));
-    }
-  }
-  return std::move(builder).Build(answers);
-}
-
 TEST(CsrDifferentialTest, FactoringIdenticalToReference) {
   // The flat factoring recursion vs the pointer reference: value bits,
   // call counts, and the exact budget edge, with the reductions on and
@@ -222,7 +155,7 @@ TEST(CsrDifferentialTest, FactoringIdenticalToReference) {
   // identically.
   Rng rng(1979);
   for (int round = 0; round < 206; ++round) {
-    const QueryGraph query = GraphForRound(rng, round);
+    const QueryGraph query = testing::MakeHarnessGraph(rng, round);
     for (bool reductions : {true, false}) {
       FactoringOptions options;
       options.use_reductions = reductions;
@@ -243,7 +176,7 @@ TEST(CsrDifferentialTest, FactoringIdenticalOnServingShapedDags) {
   Rng rng(2009);
   int64_t deepest = 0;
   for (int round = 0; round < 3; ++round) {
-    const QueryGraph query = MakeServingShapedDag(rng);
+    const QueryGraph query = testing::MakeServingShapedDag(rng);
     for (bool reductions : {true, false}) {
       FactoringOptions options;
       options.use_reductions = reductions;
@@ -274,7 +207,7 @@ TEST(CsrDifferentialTest, ShardGranularityInvariance) {
   // the same way (shard plan is part of the reproducibility key, not a
   // backend detail).
   Rng rng(62);
-  QueryGraph query = GraphForRound(rng, 0);
+  QueryGraph query = testing::MakeHarnessGraph(rng, 0);
   for (int64_t shard_trials : {1, 7, 64, 512}) {
     McOptions mc;
     mc.trials = 999;

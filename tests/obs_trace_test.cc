@@ -279,6 +279,36 @@ TEST(ObsTracingIntegrationTest, ResolveSpansCountTheFactoringCalls) {
   EXPECT_GT(total_calls, 0) << "the workload never factored";
 }
 
+TEST(ObsTracingIntegrationTest, ResolveSpansCountTheMonteCarloWords) {
+  // Factoring off and the cache off, so every survivor runs Monte Carlo
+  // in both requests: the per-survivor spans' words must sum to
+  // RequestStats::mc_words, a deterministic count that tracing leaves
+  // unchanged.
+  api::ServerOptions options;
+  options.ranking.enable_cache = false;
+  options.ranking.exact_max_edges = 0;
+  api::Server server(options);
+  const QueryGraph graph = MakeFig4bWheatstoneBridge();
+  api::QueryOptions untraced;
+  api::Result<api::QueryResponse> plain = server.RankGraph(graph, untraced);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  obs::Trace trace(1);
+  api::QueryOptions traced = untraced;
+  traced.trace = &trace;
+  api::Result<api::QueryResponse> with = server.RankGraph(graph, traced);
+  ASSERT_TRUE(with.ok()) << with.status();
+  EXPECT_GT(with.value().stats.mc_words, 0);
+  EXPECT_EQ(plain.value().stats.mc_words, with.value().stats.mc_words);
+  int64_t span_words = 0;
+  for (const obs::Span& span : trace.Spans()) {
+    if (span.name != "serve.mc_shards") continue;
+    for (const auto& [name, value] : span.counters) {
+      if (name == "words") span_words += value;
+    }
+  }
+  EXPECT_EQ(span_words, with.value().stats.mc_words);
+}
+
 TEST(ObsTracingIntegrationTest, SlowQueryCaptureHasNestedSpanTree) {
   api::Server& server = TracedServer();
   // A fresh irreducible graph (not in the cache yet) so the capture

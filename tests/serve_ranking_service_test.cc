@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +48,43 @@ std::vector<QueryGraph> MakeWorkload(int count, uint64_t seed) {
     graphs.push_back(MakeRandomLayeredDag(rng, options));
   }
   return graphs;
+}
+
+TEST(RankingServiceTest, MonteCarloWithinFourSigmaOfFactoringOnServingDags) {
+  // Serving-shaped layered DAGs (31 nodes, 12 answers). A default
+  // service factors the residues of at most 24 edges; with factoring off
+  // (exact_max_edges = 0) the same candidates resolve by the
+  // word-parallel kernel, and each must lie within 4 sigma of its
+  // factored value.
+  Rng rng(4243);
+  RankingServiceOptions options;
+  options.num_threads = 1;
+  RankingService factored(options);
+  options.exact_max_edges = 0;
+  RankingService forced(options);
+  const double trials = static_cast<double>(forced.McTrialsPerCandidate());
+  int compared = 0;
+  for (int round = 0; round < 48; ++round) {
+    const QueryGraph g = testing::MakeServingShapedDag(rng);
+    const int k = static_cast<int>(g.answers.size());
+    Result<TopKResult> exact = factored.RankTopK(g, k);
+    Result<TopKResult> mc = forced.RankTopK(g, k);
+    ASSERT_TRUE(exact.ok()) << exact.status();
+    ASSERT_TRUE(mc.ok()) << mc.status();
+    for (const RankedCandidate& e : exact.value().top) {
+      if (e.resolution != Resolution::kExact) continue;
+      for (const RankedCandidate& m : mc.value().top) {
+        if (m.node != e.node) continue;
+        ASSERT_EQ(m.resolution, Resolution::kMonteCarlo);
+        const double p = e.reliability;
+        const double sigma = std::sqrt(p * (1.0 - p) / trials);
+        EXPECT_NEAR(m.reliability, p, 4.0 * sigma + 1e-12)
+            << "round " << round << " answer " << m.node;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GE(compared, 20);  // 25 factored candidates on these DAGs.
 }
 
 TEST(RankingServiceTest, FullRankingMatchesExactReliability) {

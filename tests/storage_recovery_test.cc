@@ -262,6 +262,30 @@ TEST(StorageRecoveryTest, FingerprintMismatchFallsBackToMemoryOnly) {
   EXPECT_TRUE(response.ok()) << response.status();
 }
 
+TEST(StorageRecoveryTest, StoreFromOtherRankingOptionsIsRefused) {
+  // A persisted cache entry can carry a partial Monte Carlo tally, which
+  // only the estimator and shard plan that wrote it can resume. A store
+  // booted under a different fingerprinted ranking option (here the shard
+  // plan; serve::kMcEstimatorVersion rides the same fingerprint) must be
+  // refused, typed, never resumed.
+  std::string dir = FreshDir("recovery_fp_ranking");
+  {
+    Server server(DurableOptions(dir));
+    ASSERT_TRUE(server.storage_status().ok());
+    Result<SessionInfo> info = server.OpenSession(
+        MakeProteinFunctionRequest(WellStudiedSymbol(server, 0)));
+    ASSERT_TRUE(info.ok()) << info.status();
+    ASSERT_TRUE(server.Checkpoint().ok());
+  }
+  ServerOptions other = DurableOptions(dir);
+  other.ranking.mc_shard_trials = 256;
+  Server mismatched(other);
+  EXPECT_EQ(mismatched.storage_status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(mismatched.durable());
+  EXPECT_EQ(mismatched.session_count(), 0u);
+}
+
 TEST(StorageRecoveryTest, SnapshotCodecRoundTripsCsrByteIdentically) {
   // Pure codec check, no server: a graph with tombstones (removed node +
   // edge) must round-trip its CSR arrays verbatim, and the decoded graph

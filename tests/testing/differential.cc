@@ -7,6 +7,7 @@
 #include "core/csr_snapshot.h"
 #include "core/graph_algo.h"
 #include "core/reduction.h"
+#include "core/trial_bound.h"
 #include "testing/reference_canonical.h"
 #include "testing/reference_factoring.h"
 
@@ -47,13 +48,11 @@ bool ScoresBitIdentical(const std::vector<double>& a,
 }
 
 DiffResult CompareMcBackends(const QueryGraph& query_graph, int64_t trials,
-                             uint64_t seed, int num_threads,
-                             McOptions::Mode mode) {
+                             uint64_t seed, int num_threads) {
   McOptions mc;
   mc.trials = trials;
   mc.seed = seed;
   mc.num_threads = num_threads;
-  mc.mode = mode;
 
   mc.backend = McOptions::Backend::kCsrSnapshot;
   Result<McEstimate> csr = EstimateReliabilityMc(query_graph, mc);
@@ -71,6 +70,87 @@ DiffResult CompareMcBackends(const QueryGraph& query_graph, int64_t trials,
     return Fail("MC scores diverge at " +
                 DescribeFirstDivergence(csr.value().scores,
                                         ptr.value().scores));
+  }
+  return {};
+}
+
+DiffResult CompareWordParallelInvariance(const QueryGraph& query_graph,
+                                         int64_t trials, uint64_t seed,
+                                         ThreadPool& pool) {
+  Result<CsrQuerySnapshot> snapshot = BuildCsrQuerySnapshot(query_graph);
+  if (!snapshot.ok()) return Fail("snapshot: " + snapshot.status().message());
+  McOptions mc;
+  mc.trials = trials;
+  mc.seed = seed;
+  mc.mode = McOptions::Mode::kWordParallel;
+  mc.num_threads = 1;
+  mc.pool = &pool;
+  Result<std::vector<int64_t>> plan =
+      PlanTrialShards(mc.trials, mc.shard_trials);
+  if (!plan.ok()) return Fail("plan: " + plan.status().message());
+  const int64_t num_shards = static_cast<int64_t>(plan.value().size());
+  Result<McShardTallies> reference =
+      TallyReliabilityMcShards(snapshot.value(), mc, 0, num_shards);
+  Result<McEstimate> reference_estimate = EstimateReliabilityMc(query_graph, mc);
+  if (!reference.ok() || !reference_estimate.ok()) {
+    return Fail("word-parallel reference run failed");
+  }
+  const McShardTallies& want = reference.value();
+  auto same = [&](const McShardTallies& got, const std::string& what) {
+    if (got.counts != want.counts || got.trials != want.trials ||
+        got.words != want.words) {
+      return Fail("word-parallel tally diverges under " + what + " (words " +
+                  std::to_string(got.words) + " vs " +
+                  std::to_string(want.words) + ")");
+    }
+    return DiffResult{};
+  };
+
+  for (int threads : {2, 4, 8}) {
+    McOptions capped = mc;
+    capped.num_threads = threads;
+    const std::string what = std::to_string(threads) + " threads";
+    Result<McShardTallies> tally =
+        TallyReliabilityMcShards(snapshot.value(), capped, 0, num_shards);
+    if (!tally.ok()) return Fail(what + ": " + tally.status().message());
+    DiffResult r = same(tally.value(), what);
+    if (!r.ok) return r;
+    Result<McEstimate> estimate = EstimateReliabilityMc(query_graph, capped);
+    if (!estimate.ok() ||
+        !ScoresBitIdentical(estimate.value().scores,
+                            reference_estimate.value().scores)) {
+      return Fail("word-parallel scores diverge at " + what);
+    }
+  }
+
+  // Partitions of [0, num_shards), each piece run as its own call.
+  const std::vector<std::vector<int64_t>> cut_sets = {
+      {num_shards / 2}, {1, num_shards - 1}};
+  for (size_t p = 0; p <= cut_sets.size(); ++p) {
+    std::vector<int64_t> cuts = {0};
+    if (p < cut_sets.size()) {
+      for (int64_t cut : cut_sets[p]) {
+        if (cut > 0 && cut < num_shards) cuts.push_back(cut);
+      }
+    } else {
+      for (int64_t cut = 1; cut < num_shards; ++cut) cuts.push_back(cut);
+    }
+    cuts.push_back(num_shards);
+    McShardTallies sum;
+    sum.counts.assign(want.counts.size(), 0);
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      Result<McShardTallies> piece =
+          TallyReliabilityMcShards(snapshot.value(), mc, cuts[i], cuts[i + 1]);
+      if (!piece.ok()) return Fail("partition: " + piece.status().message());
+      for (size_t v = 0; v < sum.counts.size(); ++v) {
+        sum.counts[v] += piece.value().counts[v];
+      }
+      sum.trials += piece.value().trials;
+      sum.words += piece.value().words;
+    }
+    DiffResult r = same(sum, std::to_string(cuts.size() - 1) +
+                                 "-piece shard partition");
+    if (!r.ok) return r;
   }
   return {};
 }

@@ -34,13 +34,21 @@ struct DiffResult {
 bool ScoresBitIdentical(const std::vector<double>& a,
                         const std::vector<double>& b);
 
-/// Runs EstimateReliabilityMc on `query_graph` with the CSR and pointer
-/// backends (same trials/seed/mode/threading) and compares the full score
-/// vectors bitwise.
+/// Runs EstimateReliabilityMc's traversal kernel on `query_graph` with
+/// the CSR and pointer backends (same trials/seed/threading) and
+/// compares the full score vectors bitwise.
 DiffResult CompareMcBackends(const QueryGraph& query_graph, int64_t trials,
-                             uint64_t seed, int num_threads,
-                             McOptions::Mode mode =
-                                 McOptions::Mode::kTraversal);
+                             uint64_t seed, int num_threads);
+
+/// The word-parallel kernel's own contract (it has no pointer twin): on
+/// `query_graph`'s CSR snapshot, the one-shot single-thread tally is the
+/// reference; runs capped at 2, 4 and 8 threads of `pool`, and the sums
+/// over several partitions of the shard range (halves, single shards, an
+/// uneven split), must reproduce its counts, trials and words exactly,
+/// and EstimateReliabilityMc's scores bit for bit at every cap.
+DiffResult CompareWordParallelInvariance(const QueryGraph& query_graph,
+                                         int64_t trials, uint64_t seed,
+                                         ThreadPool& pool);
 
 /// Runs RankTopKAdaptive with both backends and compares the adaptive
 /// trajectory: trials_used, separated, and the full ranking (node order,

@@ -102,4 +102,67 @@ QueryGraph MakeRandomDigraph(Rng& rng, int num_nodes, double edge_density,
   return std::move(builder).Build(answers);
 }
 
+QueryGraph MakeHarnessGraph(Rng& rng, int round) {
+  switch (round % 3) {
+    case 0: {
+      RandomDagOptions options;
+      options.layers = 2 + round % 4;
+      options.nodes_per_layer = 3 + round % 5;
+      options.answers = 2 + round % 4;
+      options.edge_density = 0.3 + 0.02 * (round % 15);
+      options.skip_density = 0.1;
+      options.certain_nodes = (round % 6) == 0;
+      return MakeRandomLayeredDag(rng, options);
+    }
+    case 1:
+      return MakeRandomTree(rng, 2 + round % 3, 2 + round % 2,
+                                     (round % 4) == 1);
+    default:
+      return MakeRandomDigraph(rng, 8 + round % 10,
+                                        0.2 + 0.01 * (round % 10),
+                                        2 + round % 3);
+  }
+}
+
+QueryGraph MakeServingShapedDag(Rng& rng) {
+  QueryGraphBuilder builder;
+  std::vector<std::vector<NodeId>> layers = {{builder.Source()}};
+  for (int layer = 0; layer < 3; ++layer) {
+    std::vector<NodeId> current;
+    for (int i = 0; i < 6; ++i) {
+      current.push_back(builder.Node(rng.NextUniform(0.3, 1.0)));
+    }
+    layers.push_back(current);
+  }
+  std::vector<NodeId> answers;
+  for (int i = 0; i < 12; ++i) {
+    answers.push_back(builder.Node(rng.NextUniform(0.3, 1.0)));
+  }
+  layers.push_back(answers);
+  for (size_t layer = 0; layer + 1 < layers.size(); ++layer) {
+    for (NodeId from : layers[layer]) {
+      for (NodeId to : layers[layer + 1]) {
+        if (rng.NextBernoulli(0.45)) {
+          builder.Edge(from, to, rng.NextUniform(0.2, 1.0));
+        }
+      }
+      for (size_t skip = layer + 2; skip < layers.size(); ++skip) {
+        for (NodeId to : layers[skip]) {
+          if (rng.NextBernoulli(0.15)) {
+            builder.Edge(from, to, rng.NextUniform(0.2, 1.0));
+          }
+        }
+      }
+    }
+  }
+  for (size_t layer = 1; layer < layers.size(); ++layer) {
+    for (NodeId to : layers[layer]) {
+      const std::vector<NodeId>& prev = layers[layer - 1];
+      builder.Edge(prev[static_cast<size_t>(rng.NextBounded(prev.size()))],
+                   to, rng.NextUniform(0.2, 1.0));
+    }
+  }
+  return std::move(builder).Build(answers);
+}
+
 }  // namespace biorank::testing

@@ -40,6 +40,19 @@ QueryGraph MakeRandomTree(Rng& rng, int depth, int branching,
 QueryGraph MakeRandomDigraph(Rng& rng, int num_nodes, double edge_density,
                              int num_answers);
 
+/// The differential harness's graph for `round`: the rounds cycle
+/// through the three generators above, so a sweep covers layered DAGs,
+/// out-trees and cyclic digraphs, with sizes and densities varying by
+/// round.
+QueryGraph MakeHarnessGraph(Rng& rng, int round);
+
+/// A layered DAG of the serving workload's shape (31 nodes): a source,
+/// three layers of six nodes, twelve answers, layer-to-layer edges at
+/// density 0.45, skip edges at 0.15, and one guaranteed in-edge per
+/// node. Its per-answer residues are the irreducible ones exact
+/// factoring and Monte Carlo meet in serving.
+QueryGraph MakeServingShapedDag(Rng& rng);
+
 }  // namespace biorank::testing
 
 #endif  // BIORANK_TESTS_TESTING_RANDOM_GRAPHS_H_
